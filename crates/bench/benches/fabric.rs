@@ -34,7 +34,7 @@ fn packets(n: u64) -> Vec<Packet> {
         .collect()
 }
 
-fn drive<F: Fabric>(mut fabric: F, pkts: &[Packet]) -> u64 {
+fn drive(mut fabric: Fabric, pkts: &[Packet]) -> u64 {
     let mut sinks = [NullSink, NullSink, NullSink, NullSink];
     let mut now = 0u64;
     let mut it = pkts.iter().cloned();
@@ -64,10 +64,10 @@ fn bench_fabrics(c: &mut Criterion) {
     let mut g = c.benchmark_group("fabric");
     g.throughput(Throughput::Elements(pkts.len() as u64));
     g.bench_function("f2_route_2k_packets", |b| {
-        b.iter(|| drive(F2::new(F2Config::default()), &pkts))
+        b.iter(|| drive(Fabric::F2(F2::new(F2Config::default())), &pkts))
     });
     g.bench_function("axi_route_2k_packets", |b| {
-        b.iter(|| drive(AxiInterconnect::new(AxiConfig::default()), &pkts))
+        b.iter(|| drive(Fabric::Axi(AxiInterconnect::new(AxiConfig::default())), &pkts))
     });
     g.finish();
 }

@@ -28,11 +28,8 @@ fn simulate(point: Point, wl: &Workload, insts: u64) -> RunReport {
         Point::Fabric(_, kind) => Sim::builder(wl, insts).fabric(kind),
         Point::DcDepth(depth) => {
             // Depth applies to both channels.
-            let fabric = Box::new(F2::new(F2Config {
-                dc: DcBufferConfig { runtime_depth: depth, status_depth: depth * 2 },
-                ..F2Config::default()
-            }));
-            Sim::builder(wl, insts).custom_fabric(fabric)
+            let dc_buffer = DcBufferConfig { runtime_depth: depth, status_depth: depth * 2 };
+            Sim::builder(wl, insts).config(MeekConfig { dc_buffer, ..MeekConfig::default() })
         }
     };
     builder.build_unobserved().expect("ablation grid points are valid").run().report
@@ -81,8 +78,8 @@ fn main() {
     // Selective broadcast value: count the transactions a unicast-only
     // fabric needs for the same traffic (status data goes to two cores).
     println!("\nSelective broadcast (measured on raw fabrics, same packet mix):");
-    let f2 = F2::new(F2Config::default());
-    let axi = AxiInterconnect::new(AxiConfig::default());
+    let f2 = Fabric::F2(F2::new(F2Config::default()));
+    let axi = Fabric::Axi(AxiInterconnect::new(AxiConfig::default()));
     println!(
         "  F2 payload: {} words/packet; AXI payload: {} words/packet",
         f2.payload_words(),

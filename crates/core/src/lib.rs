@@ -32,23 +32,25 @@
 //! typed hooks instead of polled debug strings:
 //!
 //! ```
-//! use meek_core::sim::{EventCounter, Sim};
+//! use meek_core::sim::{Sim, SimEvent, TraceLog};
 //! use meek_workloads::{parsec3, Workload};
 //!
 //! let profile = &parsec3()[0]; // blackscholes
 //! let wl = Workload::build(profile, 1);
-//! let counter = EventCounter::new();
+//! let trace = TraceLog::new(0);
 //! let outcome = Sim::builder(&wl, 20_000)
 //!     .little_cores(4)
-//!     .observe(counter.clone())
+//!     .observe(trace.clone())
 //!     .build()
 //!     .expect("a valid configuration")
 //!     .run();
 //! assert_eq!(outcome.report.failed_segments, 0, "clean run must verify");
 //! assert!(outcome.report.verified_segments > 0);
-//! // The timeline and event counts expose what the run actually did.
+//! // The timeline and the event trace expose what the run actually did.
 //! assert_eq!(outcome.timeline.len() as u64, outcome.report.verified_segments);
-//! assert_eq!(counter.counts().passes, outcome.report.verified_segments);
+//! let events = trace.snapshot();
+//! let passes = events.iter().filter(|e| matches!(e, SimEvent::SegmentClosed { pass: true, .. }));
+//! assert_eq!(passes.count() as u64, outcome.report.verified_segments);
 //! ```
 //!
 //! Faults, recovery policies and fabric choices compose on the same
@@ -71,8 +73,8 @@ pub use meek_recover::{RecoveryPolicy, RecoveryReport};
 pub use report::{RunReport, StallBreakdown};
 pub use segments::SegmentManager;
 pub use sim::{
-    validate_config, BuildError, EventCounter, EventCounts, JsonlEventSink, NoObserver, Observer,
-    ObserverSet, RunOutcome, SampleRow, SamplingObserver, SegmentSpan, SharedBuf, Sim, SimBuilder,
-    SimEvent, TickSample, TraceLog,
+    validate_config, BuildError, JsonlEventSink, NoObserver, Observer, ObserverSet, RunOutcome,
+    SampleRow, SamplingObserver, SegmentSpan, SharedBuf, Sim, SimBuilder, SimEvent, TickSample,
+    TraceLog,
 };
 pub use system::{cycle_cap, run_vanilla, FabricKind, MeekConfig, MeekSystem};

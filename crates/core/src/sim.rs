@@ -1,18 +1,12 @@
 //! Typed, validating simulation construction and structured run
 //! introspection — the one composable entry point every harness
 //! (campaign engine, difftest oracles, benches, examples) builds its
-//! systems through.
+//! [`MeekSystem`]s through, and [`Sim::run`] is the one run loop:
 //!
-//! Historically each downstream crate hand-assembled a [`MeekSystem`]
-//! through a different ad-hoc sequence (`new` vs `with_fabric`, then
-//! `set_faults`/`set_injector`, then a manually computed cycle cap
-//! threaded into `run_to_completion`) and introspected runs through
-//! preformatted debug strings. [`SimBuilder`] replaces all of that:
-//!
-//! * every knob (workload, little-core count, fabric kind or a custom
-//!   fabric, recovery policy, fault plan, instruction budget) is set on
-//!   one builder, and degenerate combinations are rejected with a typed
-//!   [`BuildError`] instead of a mid-run panic;
+//! * every knob (workload, little-core count, fabric kind, DC-Buffer
+//!   depth via [`MeekConfig`], recovery policy, fault plan, instruction
+//!   budget) is set on one builder, and degenerate combinations are
+//!   rejected with a typed [`BuildError`] instead of a mid-run panic;
 //! * the simulation liveness bound is derived internally from the
 //!   instruction budget ([`cycle_cap`]) — widened automatically for
 //!   recovery-enabled runs, whose rollbacks legitimately re-execute
@@ -30,21 +24,22 @@
 //! # Quickstart
 //!
 //! ```
-//! use meek_core::sim::{EventCounter, Sim};
+//! use meek_core::sim::{Sim, SimEvent, TraceLog};
 //! use meek_core::{FaultSite, FaultSpec};
 //! use meek_workloads::{parsec3, Workload};
 //!
 //! let wl = Workload::build(&parsec3()[0], 1);
-//! let counter = EventCounter::new();
+//! let trace = TraceLog::new(0);
 //! let outcome = Sim::builder(&wl, 12_000)
 //!     .little_cores(4)
 //!     .faults(vec![FaultSpec { arm_at_commit: 4_000, site: FaultSite::MemAddr, bit: 9 }])
-//!     .observe(counter.clone())
+//!     .observe(trace.clone())
 //!     .build()
 //!     .expect("valid configuration")
 //!     .run();
 //! assert_eq!(outcome.report.detections.len(), 1);
-//! assert_eq!(counter.counts().faults_detected, 1);
+//! let detected = trace.snapshot().iter().filter(|e| e.name() == "fault_detected").count();
+//! assert_eq!(detected, 1);
 //! assert!(outcome.timeline.iter().any(|span| span.pass == Some(false)));
 //! ```
 //!
@@ -63,7 +58,6 @@ use crate::fault::{DetectionRecord, FaultInjector, FaultSite, FaultSpec};
 use crate::report::RunReport;
 use crate::system::{cycle_cap, FabricKind, MeekConfig, MeekSystem};
 use meek_bigcore::BigCoreConfig;
-use meek_fabric::Fabric;
 use meek_isa::{ArchState, SparseMemory};
 use meek_littlecore::LittleCoreConfig;
 use meek_recover::RecoveryPolicy;
@@ -419,76 +413,6 @@ impl Observer for TraceLog {
     }
 }
 
-/// Per-kind event totals (plus elapsed cycles) for one run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EventCounts {
-    /// Segment open events (first opens and rollback re-opens).
-    pub segments_opened: u64,
-    /// Verdicts delivered.
-    pub verdicts: u64,
-    /// Verdicts that passed.
-    pub passes: u64,
-    /// Verdicts that failed (detections at segment granularity).
-    pub fails: u64,
-    /// Corruptions that fired.
-    pub faults_injected: u64,
-    /// Detections reported.
-    pub faults_detected: u64,
-    /// Rollbacks executed.
-    pub rollbacks_started: u64,
-    /// Failure episodes closed clean.
-    pub rollbacks_completed: u64,
-    /// Big-core cycles observed.
-    pub ticks: u64,
-}
-
-/// Counts events by kind — a cheap cloneable handle like [`TraceLog`].
-#[derive(Clone, Debug, Default)]
-pub struct EventCounter {
-    inner: Arc<Mutex<EventCounts>>,
-}
-
-impl EventCounter {
-    /// A zeroed counter.
-    pub fn new() -> EventCounter {
-        EventCounter::default()
-    }
-
-    /// The counts accumulated so far.
-    pub fn counts(&self) -> EventCounts {
-        *self.inner.lock().expect("event counter lock")
-    }
-}
-
-impl Observer for EventCounter {
-    fn event(&mut self, ev: &SimEvent) {
-        let mut c = self.inner.lock().expect("event counter lock");
-        match ev {
-            SimEvent::SegmentOpened { .. } => c.segments_opened += 1,
-            SimEvent::SegmentClosed { pass, .. } => {
-                c.verdicts += 1;
-                if *pass {
-                    c.passes += 1;
-                } else {
-                    c.fails += 1;
-                }
-            }
-            SimEvent::FaultInjected { .. } => c.faults_injected += 1,
-            SimEvent::FaultDetected { .. } => c.faults_detected += 1,
-            SimEvent::RollbackStarted { .. } => c.rollbacks_started += 1,
-            SimEvent::RollbackCompleted { .. } => c.rollbacks_completed += 1,
-        }
-    }
-
-    fn tick(&mut self, _cycle: u64) {
-        self.inner.lock().expect("event counter lock").ticks += 1;
-    }
-
-    fn wants_sample_at(&self, _cycle: u64) -> bool {
-        false // counts events and ticks: never consumes TickSamples
-    }
-}
-
 /// One retained row of a [`SamplingObserver`] time series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SampleRow {
@@ -678,9 +602,6 @@ pub enum BuildError {
     /// Recovery was enabled with `rollback_depth == 0`: a rollback
     /// with no checkpoint to reach is unexecutable.
     RecoveryWithoutCheckpoints,
-    /// Both a [`FabricKind`] and a custom fabric instance were set —
-    /// the builder cannot honour both.
-    ConflictingFabric,
     /// Both [`SimBuilder::faults`] and [`SimBuilder::injector`] were
     /// set — one fault source per run.
     ConflictingFaultSources,
@@ -733,9 +654,6 @@ impl fmt::Display for BuildError {
             }
             BuildError::RecoveryWithoutCheckpoints => {
                 write!(f, "recovery enabled with rollback_depth 0: no checkpoint to roll back to")
-            }
-            BuildError::ConflictingFabric => {
-                write!(f, "both a fabric kind and a custom fabric were configured")
             }
             BuildError::ConflictingFaultSources => {
                 write!(f, "both a fault list and a pre-built injector were configured")
@@ -794,8 +712,6 @@ pub struct SimBuilder<'a> {
     insts: u64,
     cfg: MeekConfig,
     record_budget_set: bool,
-    fabric_kind_set: bool,
-    custom_fabric: Option<Box<dyn Fabric + Send>>,
     faults: Option<Vec<FaultSpec>>,
     injector: Option<FaultInjector>,
     headroom: u64,
@@ -812,8 +728,6 @@ impl<'a> SimBuilder<'a> {
             insts,
             cfg: MeekConfig::default(),
             record_budget_set: false,
-            fabric_kind_set: false,
-            custom_fabric: None,
             faults: None,
             injector: None,
             headroom: 1,
@@ -852,18 +766,9 @@ impl<'a> SimBuilder<'a> {
         self
     }
 
-    /// Interconnect choice (the Fig. 9 ablation axis). Conflicts with
-    /// [`SimBuilder::custom_fabric`].
+    /// Interconnect choice (the Fig. 9 ablation axis).
     pub fn fabric(mut self, kind: FabricKind) -> Self {
         self.cfg.fabric = kind;
-        self.fabric_kind_set = true;
-        self
-    }
-
-    /// A caller-built interconnect instance (parameter sweeps beyond
-    /// the built-in kinds). Conflicts with [`SimBuilder::fabric`].
-    pub fn custom_fabric(mut self, fabric: Box<dyn Fabric + Send>) -> Self {
-        self.custom_fabric = Some(fabric);
         self
     }
 
@@ -992,9 +897,6 @@ impl<'a> SimBuilder<'a> {
                 });
             }
         }
-        if self.fabric_kind_set && self.custom_fabric.is_some() {
-            return Err(BuildError::ConflictingFabric);
-        }
         if self.faults.is_some() && self.injector.is_some() {
             return Err(BuildError::ConflictingFaultSources);
         }
@@ -1011,11 +913,7 @@ impl<'a> SimBuilder<'a> {
                 });
             }
         }
-        let fabric = match self.custom_fabric {
-            Some(f) => f,
-            None => MeekSystem::default_fabric(&self.cfg),
-        };
-        let mut sys = MeekSystem::with_fabric(self.cfg, self.workload, self.insts, fabric);
+        let mut sys = MeekSystem::new(self.cfg, self.workload, self.insts);
         if let Some(faults) = self.faults {
             sys.set_faults(faults);
         } else if let Some(injector) = self.injector {
@@ -1067,8 +965,8 @@ impl<O: Observer> Sim<O> {
         self.max_cycles
     }
 
-    /// The underlying system (advanced introspection between manual
-    /// ticks; most callers only need [`Sim::run`]).
+    /// The underlying system, for introspection before the run (most
+    /// callers only need [`Sim::run`]).
     pub fn system(&self) -> &MeekSystem {
         &self.sys
     }
@@ -1225,7 +1123,7 @@ impl RunOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use meek_fabric::{F2Config, F2};
+    use meek_fabric::DcBufferConfig;
     use meek_workloads::parsec3;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -1261,20 +1159,24 @@ mod tests {
     }
 
     #[test]
-    fn conflicting_fabric_settings_are_a_typed_error() {
+    fn a_shallow_dc_buffer_stalls_commit_more() {
+        // The DEU attributes a full DC-Buffer channel to `data_forward`
+        // (`data_collect` stays 0), so the sum is the DC-Buffer
+        // back-pressure — the `collect+fwd` column of `ablation_dc`.
         let wl = small_workload();
-        let err = Sim::builder(&wl, 1_000)
-            .fabric(FabricKind::Axi)
-            .custom_fabric(Box::new(F2::new(F2Config::default())))
-            .build()
-            .unwrap_err();
-        assert_eq!(err, BuildError::ConflictingFabric);
-        // Each alone is fine.
-        assert!(Sim::builder(&wl, 1_000).fabric(FabricKind::Axi).build().is_ok());
-        assert!(Sim::builder(&wl, 1_000)
-            .custom_fabric(Box::new(F2::new(F2Config::default())))
-            .build()
-            .is_ok());
+        let dc_stalls = |dc_buffer: DcBufferConfig| {
+            let stalls = Sim::builder(&wl, 10_000)
+                .config(MeekConfig { dc_buffer, ..MeekConfig::default() })
+                .build_unobserved()
+                .expect("valid")
+                .run()
+                .report
+                .stalls;
+            stalls.data_collect + stalls.data_forward
+        };
+        let shallow = dc_stalls(DcBufferConfig { runtime_depth: 1, status_depth: 2 });
+        let default = dc_stalls(DcBufferConfig::default());
+        assert!(shallow > default, "depth 1 ({shallow}) must stall more than default ({default})");
     }
 
     #[test]
@@ -1377,28 +1279,40 @@ mod tests {
         }
     }
 
+    /// How many of `events` are named `name` ([`SimEvent::name`]).
+    fn count(events: &[SimEvent], name: &str) -> u64 {
+        events.iter().filter(|e| e.name() == name).count() as u64
+    }
+
     #[test]
     fn observers_see_the_fault_lifecycle() {
         let wl = small_workload();
-        let counter = EventCounter::new();
         let trace = TraceLog::new(0);
         let outcome = Sim::builder(&wl, 12_000)
             .faults(vec![FaultSpec { arm_at_commit: 4_000, site: FaultSite::MemAddr, bit: 9 }])
-            .observe(counter.clone())
             .observe(trace.clone())
             .build()
             .expect("valid")
             .run();
         assert_eq!(outcome.report.detections.len(), 1);
-        let c = counter.counts();
-        assert_eq!(c.faults_injected, 1);
-        assert_eq!(c.faults_detected, 1);
-        assert_eq!(c.fails, 1);
-        assert_eq!(c.verdicts, c.passes + c.fails);
-        assert_eq!(c.segments_opened, c.verdicts, "every opened segment concluded");
-        assert_eq!(c.ticks, outcome.report.cycles);
-        // The trace carries the same story in order.
         let events = trace.snapshot();
+        let verdicts = |pass: bool| {
+            events
+                .iter()
+                .filter(|e| matches!(e, SimEvent::SegmentClosed { pass: p, .. } if *p == pass))
+                .count() as u64
+        };
+        let (passes, fails) = (verdicts(true), verdicts(false));
+        assert_eq!(count(&events, "fault_injected"), 1);
+        assert_eq!(count(&events, "fault_detected"), 1);
+        assert_eq!(fails, 1);
+        assert_eq!(count(&events, "segment_closed"), passes + fails);
+        assert_eq!(
+            count(&events, "segment_opened"),
+            count(&events, "segment_closed"),
+            "every opened segment concluded"
+        );
+        // The trace tells the story in order.
         let injected = events
             .iter()
             .position(|e| matches!(e, SimEvent::FaultInjected { .. }))
@@ -1440,20 +1354,51 @@ mod tests {
     }
 
     #[test]
+    fn a_system_cloned_at_the_arm_point_drains_like_a_fresh_run() {
+        // The precondition for forking fault runs off a shared
+        // fault-free prefix: a snapshot taken once the fault has armed,
+        // but before any checker reported it, must evolve exactly like
+        // the original — and like a run that never paused.
+        let wl = small_workload();
+        let spec = FaultSpec { arm_at_commit: 4_000, site: FaultSite::MemAddr, bit: 9 };
+        let build = || Sim::builder(&wl, 12_000).faults(vec![spec]).build_unobserved();
+        let mut sim = build().expect("valid");
+        while sim.sys.injector_remaining() > 0 {
+            sim.sys.tick();
+        }
+        assert_eq!(sim.sys.detection_count(), 0, "the fault must still be in flight");
+        let fork = Sim {
+            sys: sim.sys.clone(),
+            max_cycles: sim.max_cycles,
+            observer: NoObserver,
+            halt_on_first_detection: false,
+        };
+        let original = sim.run();
+        let forked = fork.run();
+        let fresh = build().expect("valid").run();
+        assert_eq!(original.report.detections.len(), 1);
+        for other in [&forked, &fresh] {
+            assert_eq!(format!("{:?}", original.report), format!("{:?}", other.report));
+            assert_eq!(original.final_state(), other.final_state());
+            assert_eq!(original.timeline, other.timeline);
+        }
+    }
+
+    #[test]
     fn recovery_run_emits_rollback_events_and_reopens() {
         let wl = small_workload();
-        let counter = EventCounter::new();
+        let trace = TraceLog::new(0);
         let outcome = Sim::builder(&wl, 12_000)
             .recovery(RecoveryPolicy::enabled())
             .faults(vec![FaultSpec { arm_at_commit: 4_000, site: FaultSite::MemAddr, bit: 9 }])
-            .observe(counter.clone())
+            .observe(trace.clone())
             .build()
             .expect("valid")
             .run();
         assert_eq!(outcome.report.recovery.rollbacks, 1);
-        let c = counter.counts();
-        assert_eq!(c.rollbacks_started, 1);
-        assert_eq!(c.rollbacks_completed, 1);
+        let events = trace.snapshot();
+        assert_eq!(count(&events, "rollback_started"), 1);
+        assert_eq!(count(&events, "rollback_completed"), 1);
         assert!(
             outcome.timeline.iter().any(|s| s.reopens > 0),
             "a rollback must re-open its target segment"
@@ -1538,13 +1483,9 @@ mod tests {
     }
 
     #[test]
-    fn custom_fabric_runs_and_headroom_scales_the_cap() {
+    fn headroom_scales_the_cap() {
         let wl = small_workload();
-        let sim = Sim::builder(&wl, 5_000)
-            .custom_fabric(Box::new(F2::new(F2Config::default())))
-            .cycle_headroom(3)
-            .build()
-            .expect("valid");
+        let sim = Sim::builder(&wl, 5_000).cycle_headroom(3).build().expect("valid");
         assert_eq!(sim.max_cycles(), 3 * cycle_cap(5_000));
         let outcome = sim.run();
         assert_eq!(outcome.report.failed_segments, 0);
@@ -1572,7 +1513,6 @@ mod tests {
         assert_send::<RunOutcome>();
         assert_send::<SimEvent>();
         assert_send::<TraceLog>();
-        assert_send::<EventCounter>();
         assert_send::<JsonlEventSink<SharedBuf>>();
     }
 
@@ -1593,7 +1533,7 @@ mod tests {
     #[should_panic(expected = "observers attached")]
     fn unobserved_build_with_observers_panics() {
         let wl = small_workload();
-        let _ = Sim::builder(&wl, 1_000).observe(EventCounter::new()).build_unobserved();
+        let _ = Sim::builder(&wl, 1_000).observe(TraceLog::new(0)).build_unobserved();
     }
 
     /// An observer that declines sampling and treats any delivered

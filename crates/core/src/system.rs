@@ -9,8 +9,8 @@ use crate::segments::SegmentManager;
 use crate::sim::SimEvent;
 use meek_bigcore::{BigCore, BigCoreConfig, NullHook};
 use meek_fabric::{
-    AxiConfig, AxiInterconnect, DestMask, F2Config, Fabric, Packet, PacketKind, PacketSink,
-    SinkBank, F2,
+    AxiConfig, AxiInterconnect, DcBufferConfig, DestMask, F2Config, Fabric, Packet, PacketKind,
+    PacketSink, SinkBank, F2,
 };
 use meek_isa::{ArchState, SparseMemory};
 use meek_littlecore::{CheckerEvent, LittleCore, LittleCoreConfig};
@@ -60,6 +60,9 @@ pub struct MeekConfig {
     pub big: BigCoreConfig,
     /// Interconnect choice.
     pub fabric: FabricKind,
+    /// Per-commit-path DC-Buffer depths, for either interconnect (the
+    /// DC-Buffer depth ablation axis).
+    pub dc_buffer: DcBufferConfig,
     /// Run-time records per segment before an RCP is forced ("targeted
     /// LSL full"). Defaults to the LSL run-time capacity.
     pub seg_record_budget: u64,
@@ -79,6 +82,7 @@ impl Default for MeekConfig {
             little,
             big: BigCoreConfig::sonic_boom(),
             fabric: FabricKind::F2,
+            dc_buffer: DcBufferConfig::default(),
             seg_record_budget: little.lsl.runtime_capacity as u64,
             seg_timeout: 5_000,
             recovery: RecoveryPolicy::default(),
@@ -118,12 +122,14 @@ impl SinkBank for LittleSinks<'_> {
     }
 }
 
-/// The full system under simulation.
+/// The full system under simulation. Cloning it mid-run snapshots the
+/// whole SoC: both copies then evolve identically.
+#[derive(Clone)]
 pub struct MeekSystem {
     cfg: MeekConfig,
     big: BigCore,
     littles: Vec<LittleCore>,
-    fabric: Box<dyn Fabric + Send>,
+    fabric: Fabric,
     deu: DeuState,
     seg_mgr: SegmentManager,
     injector: FaultInjector,
@@ -145,21 +151,9 @@ pub struct MeekSystem {
 }
 
 impl MeekSystem {
-    /// The built-in interconnect instance for `cfg.fabric`.
-    pub(crate) fn default_fabric(cfg: &MeekConfig) -> Box<dyn Fabric + Send> {
-        match cfg.fabric {
-            FabricKind::F2 => {
-                Box::new(F2::new(F2Config { lanes: cfg.big.width as usize, ..F2Config::default() }))
-            }
-            FabricKind::Axi => Box::new(AxiInterconnect::new(AxiConfig {
-                lanes: cfg.big.width as usize,
-                ..AxiConfig::default()
-            })),
-        }
-    }
-
     /// Builds a system around `workload`, capped at `max_insts` dynamic
-    /// instructions, on a caller-provided interconnect. Performs the
+    /// instructions, on the interconnect `cfg` selects (one lane per
+    /// commit path, DC-Buffers `cfg.dc_buffer` deep). Performs the
     /// OS-side setup: `b.hook` of the little cores, `l.mode(CHECK)`,
     /// seeding of checkpoint 0 (the program's initial state) on segment
     /// 1's checker, and `b.check(ENABLE)`. Only reachable through
@@ -168,13 +162,15 @@ impl MeekSystem {
     /// # Panics
     ///
     /// Panics if `cfg.n_little` is zero.
-    pub(crate) fn with_fabric(
-        cfg: MeekConfig,
-        workload: &Workload,
-        max_insts: u64,
-        fabric: Box<dyn Fabric + Send>,
-    ) -> MeekSystem {
+    pub(crate) fn new(cfg: MeekConfig, workload: &Workload, max_insts: u64) -> MeekSystem {
         assert!(cfg.n_little > 0, "MEEK needs at least one little core");
+        let (lanes, dc) = (cfg.big.width as usize, cfg.dc_buffer);
+        let fabric = match cfg.fabric {
+            FabricKind::F2 => Fabric::F2(F2::new(F2Config { lanes, dc, ..F2Config::default() })),
+            FabricKind::Axi => {
+                Fabric::Axi(AxiInterconnect::new(AxiConfig { lanes, dc, ..AxiConfig::default() }))
+            }
+        };
         let mut run = workload.run(max_insts);
         if cfg.recovery.enabled {
             run.enable_undo();
@@ -263,8 +259,7 @@ impl MeekSystem {
     }
 
     /// Settles end-of-run fault and recovery verdicts once the system
-    /// has drained (the tail of `run_to_completion`, shared with the
-    /// `sim::Sim` runner).
+    /// has drained (the tail of `sim::Sim::run`).
     pub(crate) fn resolve_drain(&mut self) {
         self.injector.resolve_at_drain();
         self.recover.resolve_at_drain();
@@ -310,12 +305,12 @@ impl MeekSystem {
     }
 
     /// Installs a fault-injection campaign (replaces any previous one).
-    pub fn set_faults(&mut self, faults: Vec<FaultSpec>) {
+    pub(crate) fn set_faults(&mut self, faults: Vec<FaultSpec>) {
         self.injector = FaultInjector::new(faults);
     }
 
     /// Installs a pre-built injector (e.g. a random campaign).
-    pub fn set_injector(&mut self, injector: FaultInjector) {
+    pub(crate) fn set_injector(&mut self, injector: FaultInjector) {
         self.injector = injector;
     }
 
@@ -350,7 +345,7 @@ impl MeekSystem {
     }
 
     /// One big-core cycle of the whole SoC.
-    pub fn tick(&mut self) {
+    pub(crate) fn tick(&mut self) {
         let now = self.now;
         // Little clock domain: every second big cycle (1.6 GHz).
         if now.is_multiple_of(2) {
@@ -411,7 +406,7 @@ impl MeekSystem {
             self.recover.note_storage(self.run.undo_bytes());
         }
         // DEU background streaming of checkpoint chunks.
-        self.deu.pump_transfers(self.fabric.as_mut(), &mut self.injector, now);
+        self.deu.pump_transfers(&mut self.fabric, &mut self.injector, now);
         // Fabric moves packets toward the LSLs.
         self.fabric.tick(now, &mut LittleSinks(&mut self.littles));
         // Big clock domain.
@@ -422,8 +417,7 @@ impl MeekSystem {
             let MeekSystem { big, littles, fabric, deu, seg_mgr, injector, recover, run, .. } =
                 self;
             let mut oracle = || run.next_retired();
-            let mut hook =
-                DeuHook { deu, fabric: fabric.as_mut(), littles, seg_mgr, injector, recover };
+            let mut hook = DeuHook { deu, fabric, littles, seg_mgr, injector, recover };
             big.tick(now, &mut oracle, &mut hook);
         } else {
             self.finalize(now);
@@ -496,8 +490,7 @@ impl MeekSystem {
             return;
         }
         let MeekSystem { littles, fabric, deu, seg_mgr, injector, recover, .. } = self;
-        let mut hook =
-            DeuHook { deu, fabric: fabric.as_mut(), littles, seg_mgr, injector, recover };
+        let mut hook = DeuHook { deu, fabric, littles, seg_mgr, injector, recover };
         if hook.finalize_segment(now) {
             self.deu.finalized = true;
         }
@@ -513,29 +506,6 @@ impl MeekSystem {
             && self.fabric.is_empty()
             && self.littles.iter().all(LittleCore::is_idle)
             && !self.recover.in_flight()
-    }
-
-    /// Runs until [`MeekSystem::is_complete`] or `max_cycles`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the system fails to complete within `max_cycles` — a
-    /// liveness bug, not a measurement artefact.
-    pub fn run_to_completion(&mut self, max_cycles: u64) -> RunReport {
-        let start = self.now;
-        while !self.is_complete() {
-            assert!(
-                self.now - start < max_cycles,
-                "system failed to drain within {max_cycles} cycles ({})",
-                self.liveness_context(),
-            );
-            self.tick();
-        }
-        // No further segment verdicts can arrive: settle the in-flight
-        // fault (masked if every delivered candidate verdict was clean)
-        // so the report separates masked from genuinely pending faults.
-        self.resolve_drain();
-        self.report()
     }
 
     /// Final architectural state of the application (the functional
@@ -613,8 +583,7 @@ impl DeuHook<'_> {
 
 /// Simulation liveness bound for a run of `max_insts` dynamic
 /// instructions: generous enough that only a genuine deadlock trips
-/// it. Both the experiment harnesses and the campaign engine cap
-/// [`MeekSystem::run_to_completion`] with this.
+/// it. [`crate::sim::SimBuilder`] derives every run's cap from this.
 pub fn cycle_cap(max_insts: u64) -> u64 {
     (max_insts * 400).max(20_000_000)
 }

@@ -19,8 +19,8 @@
 //! * [`AxiInterconnect`] — the baseline of Fig. 9: a 128-bit shared bus
 //!   arbitrating one packet per little-core cycle, unicast only.
 //!
-//! Both implement [`Fabric`], so the system crate can swap them to
-//! regenerate the paper's backpressure decomposition.
+//! [`Fabric`] is the closed choice between the two, so the system crate
+//! can swap them to regenerate the paper's backpressure decomposition.
 
 pub mod axi;
 pub mod dc_buffer;
@@ -107,8 +107,17 @@ impl<'a> SinkBank for Vec<&'a mut (dyn PacketSink + 'a)> {
 }
 
 /// A packet interconnect between the big core's DC-Buffers and the little
-/// cores' LSLs.
-pub trait Fabric {
+/// cores' LSLs — one of the two designs the paper compares (§III-B,
+/// Fig. 9). Each method dispatches to the variant by `match`.
+#[derive(Debug, Clone)]
+pub enum Fabric {
+    /// The bespoke F2 fabric.
+    F2(F2),
+    /// The AXI-Interconnect baseline.
+    Axi(AxiInterconnect),
+}
+
+impl Fabric {
     /// Attempts to enqueue a packet on commit path `lane`. Returns the
     /// packet back if the corresponding FIFO is full — the commit stage
     /// must then stall (data-collection backpressure).
@@ -117,32 +126,67 @@ pub trait Fabric {
     ///
     /// Returns `Err(pkt)` when the lane's FIFO for the packet's kind is
     /// full.
-    fn try_push(&mut self, lane: usize, pkt: Packet) -> Result<(), Packet>;
+    pub fn try_push(&mut self, lane: usize, pkt: Packet) -> Result<(), Packet> {
+        match self {
+            Fabric::F2(f) => f.try_push(lane, pkt),
+            Fabric::Axi(f) => f.try_push(lane, pkt),
+        }
+    }
 
     /// Advances one big-core cycle, moving packets toward the sinks.
-    fn tick(&mut self, now: u64, sinks: &mut dyn SinkBank);
+    pub fn tick(&mut self, now: u64, sinks: &mut dyn SinkBank) {
+        match self {
+            Fabric::F2(f) => f.tick(now, sinks),
+            Fabric::Axi(f) => f.tick(now, sinks),
+        }
+    }
 
     /// Whether all internal buffers are empty (used at drain/quiesce).
-    fn is_empty(&self) -> bool;
+    pub fn is_empty(&self) -> bool {
+        match self {
+            Fabric::F2(f) => f.is_empty(),
+            Fabric::Axi(f) => f.is_empty(),
+        }
+    }
 
     /// Packets currently queued across every internal buffer — the
     /// instantaneous forwarding backlog, sampled per cycle by
     /// time-series observers (ROB occupancy vs fabric depth figures).
-    fn depth(&self) -> usize;
+    pub fn depth(&self) -> usize {
+        match self {
+            Fabric::F2(f) => f.depth(),
+            Fabric::Axi(f) => f.depth(),
+        }
+    }
 
     /// Drops every queued packet — the fabric half of a recovery
     /// rollback: in-flight run-time records and checkpoint chunks of
     /// squashed segments must not reach any LSL after the roll-back
     /// point. Counts the drops in [`FabricStats::squashed`].
-    fn flush(&mut self);
+    pub fn flush(&mut self) {
+        match self {
+            Fabric::F2(f) => f.flush(),
+            Fabric::Axi(f) => f.flush(),
+        }
+    }
 
     /// Number of 64-bit payload words one packet carries — determines how
     /// many packets a 65-word register checkpoint needs (wider F2 packets
     /// mean fewer transactions than 128-bit AXI beats).
-    fn payload_words(&self) -> u32;
+    pub fn payload_words(&self) -> u32 {
+        match self {
+            Fabric::F2(f) => f.payload_words(),
+            Fabric::Axi(f) => f.payload_words(),
+        }
+    }
 
     /// Accumulated statistics.
-    fn stats(&self) -> FabricStats;
+    pub fn stats(&self) -> FabricStats {
+        match self {
+            Fabric::F2(f) => f.stats(),
+            Fabric::Axi(f) => f.stats(),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 
 use crate::dc_buffer::{DcBuffer, DcBufferConfig};
 use crate::packet::{Packet, PacketKind};
-use crate::{Fabric, FabricStats, SinkBank};
+use crate::{FabricStats, SinkBank};
 
 /// F2 configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,10 +82,8 @@ impl F2 {
         }
         best.map(|(_, lane, kind)| (lane, kind))
     }
-}
 
-impl Fabric for F2 {
-    fn try_push(&mut self, lane: usize, pkt: Packet) -> Result<(), Packet> {
+    pub(crate) fn try_push(&mut self, lane: usize, pkt: Packet) -> Result<(), Packet> {
         assert!(lane < self.cfg.lanes, "lane {lane} out of range");
         let r = self.buffers[lane].try_push(pkt);
         if r.is_ok() {
@@ -94,7 +92,7 @@ impl Fabric for F2 {
         r
     }
 
-    fn tick(&mut self, now: u64, sinks: &mut dyn SinkBank) {
+    pub(crate) fn tick(&mut self, now: u64, sinks: &mut dyn SinkBank) {
         let mut budget = self.cfg.packets_per_cycle;
         let mut skip = [false; 2];
         let mut moved = false;
@@ -160,25 +158,25 @@ impl Fabric for F2 {
         }
     }
 
-    fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.buffers.iter().all(DcBuffer::is_empty)
     }
 
-    fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.buffers.iter().map(DcBuffer::len).sum()
     }
 
-    fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         for buf in &mut self.buffers {
             self.stats.squashed += buf.clear() as u64;
         }
     }
 
-    fn payload_words(&self) -> u32 {
+    pub(crate) fn payload_words(&self) -> u32 {
         4 // 256-bit datapath
     }
 
-    fn stats(&self) -> FabricStats {
+    pub(crate) fn stats(&self) -> FabricStats {
         self.stats
     }
 }

@@ -1,14 +1,15 @@
 //! Quickstart: build a MEEK simulation through `SimBuilder` (one
 //! BOOM-class big core, four Rocket-class checker cores), run a
 //! workload under verification, and show an injected fault being
-//! caught — with a typed `Observer` watching the run instead of
-//! polled debug strings.
+//! caught — with a typed `Observer` (the `meek-telemetry` metrics
+//! registry) watching the run instead of polled debug strings.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
 
-use meek_core::{run_vanilla, EventCounter, FaultSite, FaultSpec, MeekConfig, Sim};
+use meek_core::{run_vanilla, FaultSite, FaultSpec, MeekConfig, Sim};
+use meek_telemetry::MetricsObserver;
 use meek_workloads::{parsec3, Workload};
 
 fn main() {
@@ -51,10 +52,10 @@ fn main() {
 
     // 4. Inject a single bit flip into the forwarded data and watch the
     //    checkers catch it — through an observer this time.
-    let counter = EventCounter::new();
+    let metrics = MetricsObserver::new(64);
     let report = Sim::builder(&workload, insts)
         .faults(vec![FaultSpec { arm_at_commit: 10_000, site: FaultSite::MemAddr, bit: 13 }])
-        .observe(counter.clone())
+        .observe(metrics.clone())
         .build()
         .expect("a valid configuration")
         .run()
@@ -65,11 +66,13 @@ fn main() {
          detected in segment {} after {:.0} ns (paper: avg < 1 us)",
         d.seg, d.latency_ns
     );
-    let counts = counter.counts();
+    let reg = metrics.registry();
+    let verdicts = reg.counter("verdicts{kind=pass}") + reg.counter("verdicts{kind=fail}");
+    let detected = reg.counter("faults_detected{site=mem_addr}");
     println!(
-        "observer saw {} segment verdicts, {} injection(s), {} detection(s)",
-        counts.verdicts, counts.faults_injected, counts.faults_detected
+        "observer saw {verdicts} segment verdicts, {} injection(s), {detected} detection(s)",
+        reg.counter("faults_injected{site=mem_addr}")
     );
     assert_eq!(report.missed_faults, 0);
-    assert_eq!(counts.faults_detected, 1);
+    assert_eq!(detected, 1);
 }
