@@ -9,6 +9,7 @@
 
 pub mod analyze;
 pub mod campaign;
+pub mod cores;
 pub mod difftest;
 pub mod fuzz;
 pub mod progs;
@@ -20,7 +21,7 @@ pub mod telemetry;
 pub type SuiteFn = fn(&mut criterion::Criterion);
 
 /// The suites the committed perf baseline covers, by stable name.
-pub const BASELINE_SUITES: [(&str, SuiteFn); 8] = [
+pub const BASELINE_SUITES: [(&str, SuiteFn); 9] = [
     ("system", system::all),
     ("telemetry", telemetry::all),
     ("recover", recover::all),
@@ -29,4 +30,5 @@ pub const BASELINE_SUITES: [(&str, SuiteFn); 8] = [
     ("progs", progs::all),
     ("campaign", campaign::all),
     ("analyze", analyze::all),
+    ("cores", cores::all),
 ];

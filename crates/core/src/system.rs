@@ -205,8 +205,9 @@ impl MeekSystem {
         let mut littles: Vec<LittleCore> = (0..cfg.n_little)
             .map(|i| {
                 let mut lc = LittleCore::new(i, cfg.little, chunks);
-                // The shared L2/LLC are warm with the program by the time
-                // checker threads are hooked.
+                // Each checker owns a private L2/LLC standing in for the
+                // SoC's shared levels, which are warm with the program by
+                // the time checker threads are hooked.
                 lc.prewarm_code(workload.entry(), 4 * workload.static_len as u64);
                 // Replay consumes the workload's pre-decoded record
                 // table instead of re-decoding words per instruction.

@@ -705,11 +705,12 @@ impl LittleCore {
         CheckerEvent::SegmentVerified { seg, pass: mismatch.is_none(), mismatch }
     }
 
-    /// Warms the code image into the shared cache levels (the big core
-    /// has already been executing this program, so the little core's
-    /// instruction misses hit a warm shared L2 rather than DRAM). The
-    /// private 4 KB L1I is flushed afterwards so its capacity pressure
-    /// stays realistic.
+    /// Warms the code image into this core's L2/LLC. Each little core
+    /// owns a private, timing-only hierarchy; its L2/LLC stand in for the
+    /// SoC's shared levels, which are warm with the program because the
+    /// big core has already been executing it, so instruction misses hit
+    /// L2 rather than DRAM. The 4 KB L1I is flushed afterwards so its
+    /// capacity pressure stays realistic.
     pub fn prewarm_code(&mut self, base: u64, len: u64) {
         let mut addr = base & !63;
         while addr < base + len {

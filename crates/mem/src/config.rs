@@ -76,9 +76,13 @@ impl HierarchyConfig {
         }
     }
 
-    /// A little core's hierarchy of Table II: 4 KB 2-way L1 I/D, sharing
-    /// the SoC L2/LLC. Latencies in 1.6 GHz cycles (half the big core's
-    /// frequency, so the same wall-clock DRAM takes half the cycles).
+    /// A little core's hierarchy of Table II: 4 KB 2-way L1 I/D, and L2/LLC
+    /// levels with the SoC's geometry. Latencies in 1.6 GHz cycles (half
+    /// the big core's frequency, so the same wall-clock DRAM takes half the
+    /// cycles). The paper's checkers share the SoC L2/LLC; in the
+    /// simulator each little core owns a private, timing-only copy of
+    /// those levels, prewarmed with the code image to stand in for the
+    /// warm shared ones (see `LittleCore::prewarm_code`).
     pub fn little_core() -> HierarchyConfig {
         HierarchyConfig {
             l1i: CacheConfig { size: 4 * 1024, ways: 2, line: 64, mshrs: 2, hit_latency: 1 },

@@ -151,8 +151,8 @@ impl MemHierarchy {
         self.dram.requests
     }
 
-    /// Invalidates the private L1s (leaves shared levels warm) — used on
-    /// context switches of the little cores.
+    /// Invalidates the L1s and leaves L2/LLC warm — used on context
+    /// switches of the little cores.
     pub fn flush_l1(&mut self) {
         self.l1i.flush();
         self.l1d.flush();
@@ -234,5 +234,22 @@ mod tests {
         assert_eq!(cold.served_by, ServedBy::Dram);
         let warm = m.data_access(0x8000_0000, AccessKind::Read, cold.ready_at + 1);
         assert_eq!(warm.served_by, ServedBy::L1);
+    }
+
+    #[test]
+    fn only_touched_sets_hold_lines() {
+        let touched = |m: &MemHierarchy| [&m.l1i, &m.l1d, &m.l2, &m.llc].map(|c| c.touched_sets());
+        let mut m = MemHierarchy::new(HierarchyConfig::big_core());
+        assert_eq!(touched(&m), [0; 4], "a fresh hierarchy holds no set");
+        // 16 cold reads two lines apart (no stream, so no prefetch): each
+        // touches one new set per data level and leaves L1I alone.
+        const N: usize = 16;
+        let mut now = 0;
+        for i in 0..N as u64 {
+            now = m.data_access(0x8000_0000 + 128 * i, AccessKind::Read, now).ready_at;
+        }
+        assert_eq!(touched(&m), [0, N, N, N]);
+        m.inst_fetch(0x8000_0000, now);
+        assert_eq!(touched(&m), [1, N, N, N]);
     }
 }
