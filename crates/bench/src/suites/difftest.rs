@@ -5,7 +5,7 @@
 
 use criterion::{black_box, Criterion, Throughput};
 use meek_difftest::{
-    classify_in, cosim, fault_plan, fuzz_program, golden_run, CosimConfig, FuzzConfig,
+    cosim, fuzz_program, golden_run, run_case, CaseConfig, CosimConfig, FuzzConfig,
 };
 
 fn bench_fuzz(c: &mut Criterion) {
@@ -48,24 +48,18 @@ fn bench_cosim(c: &mut Criterion) {
 }
 
 fn bench_case_rate(c: &mut Criterion) {
-    // One representative case measured end-to-end exactly as the CLI
-    // runs it — fuzz, three-way co-simulation, then the default 3-fault
+    // One representative case through the CLI's own case pipeline
+    // (`run_case`) — fuzz, three-way co-simulation, then the default 3-fault
     // classification plan — so the baseline gate locks in the whole
     // per-case cost (`meek-difftest` cases/sec), not just the co-sim.
     let mut g = c.benchmark_group("difftest");
     g.throughput(Throughput::Elements(1));
     g.bench_function("difftest_cases_per_sec", |b| {
         b.iter(|| {
-            let prog = fuzz_program(black_box(7), &FuzzConfig::default());
-            let (v, shared) = cosim::run_full(&prog, &CosimConfig::default());
-            assert!(v.divergence.is_none());
-            let (golden, wl) = shared.expect("clean cosim carries its golden run");
-            let mut classified = 0usize;
-            for spec in fault_plan(7, 3, v.executed) {
-                assert!(!classify_in(&golden, &wl, spec, 4).is_escape());
-                classified += 1;
-            }
-            classified
+            let r = run_case(&CaseConfig::default(), 0, black_box(7));
+            assert!(r.verdict.divergence.is_none());
+            assert!(r.outcomes.iter().all(|(_, outcome, _)| !outcome.is_escape()));
+            r.outcomes.len()
         })
     });
     g.finish();

@@ -5,7 +5,7 @@
 //! progs` and `meek-campaign --suite progs` pay.
 
 use criterion::{black_box, Criterion, Throughput};
-use meek_difftest::{classify_in, cosim, fault_plan, CosimConfig};
+use meek_difftest::{run_case, CaseConfig};
 use meek_progs::{assemble, kernel, run_golden, suite, KERNELS, KERNEL_INST_CAP};
 
 fn bench_assemble(c: &mut Criterion) {
@@ -38,25 +38,19 @@ fn bench_golden(c: &mut Criterion) {
 }
 
 fn bench_case_rate(c: &mut Criterion) {
-    // One representative suite case measured end-to-end exactly as the
-    // CLIs run it — build the rotation workload, three-way co-simulate,
+    // One representative suite case through the CLIs' own case pipeline
+    // (`run_case`) — build the rotation workload, three-way co-simulate,
     // then the default 3-fault classification plan — so the baseline
     // gate locks in the whole per-case cost of a real-program case.
-    let cfg = CosimConfig::default();
+    let cfg = CaseConfig { progs: true, ..CaseConfig::default() };
     let mut g = c.benchmark_group("progs");
     g.throughput(Throughput::Elements(1));
     g.bench_function("progs_cases_per_sec", |b| {
         b.iter(|| {
-            let wl = meek_progs::rotation_workload(black_box(0));
-            let (v, golden) = cosim::run_workload(&wl, &cfg);
-            assert!(v.divergence.is_none());
-            let golden = golden.expect("clean cosim carries its golden run");
-            let mut classified = 0usize;
-            for spec in fault_plan(7, 3, v.executed) {
-                assert!(!classify_in(&golden, &wl, spec, 4).is_escape());
-                classified += 1;
-            }
-            classified
+            let r = run_case(&cfg, black_box(0), 7);
+            assert!(r.verdict.divergence.is_none());
+            assert!(r.outcomes.iter().all(|(_, outcome, _)| !outcome.is_escape()));
+            r.outcomes.len()
         })
     });
     g.finish();

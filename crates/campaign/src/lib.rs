@@ -56,4 +56,4 @@ pub use sink::{
     site_name, AggregateSink, CampaignRecord, CsvSink, JsonlSink, LatencyStats, MetricsSink,
     RecordSink, SampleSink, ShardSummary, TraceSink,
 };
-pub use spec::{resolve_suite, CampaignSpec, CampaignWorkload, ShardSpec};
+pub use spec::{resolve_suite, splitmix, CampaignSpec, CampaignWorkload, ShardSpec};

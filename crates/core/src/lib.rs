@@ -28,8 +28,10 @@
 //! Every simulation is constructed through the typed, validating
 //! [`sim::SimBuilder`] and run with [`sim::Sim::run`], which yields a
 //! structured [`sim::RunOutcome`] (report + final state + per-segment
-//! timeline). Instrumentation attaches as [`sim::Observer`]s with
-//! typed hooks instead of polled debug strings:
+//! timeline). Instrumentation attaches as [`sim::Observer`]s instead
+//! of polled debug strings: one `event` hook receives every typed
+//! [`sim::SimEvent`], next to strided occupancy samples and the final
+//! report:
 //!
 //! ```
 //! use meek_core::sim::{Sim, SimEvent, TraceLog};

@@ -15,11 +15,10 @@
 //! * [`Sim::run`] yields a structured [`RunOutcome`] — the familiar
 //!   [`RunReport`] plus the final architectural state and a
 //!   per-segment [`SegmentSpan`] timeline;
-//! * instead of polling strings, callers attach [`Observer`]s with
-//!   typed hooks (`segment_opened`/`segment_closed`, `verdict`,
-//!   `fault_injected`/`fault_detected`, `rollback_started`/
-//!   `rollback_completed`, `tick`) that the system drives as the
-//!   simulation progresses.
+//! * instead of polling strings, callers attach [`Observer`]s that
+//!   receive every typed [`SimEvent`] (segment opened/closed, fault
+//!   injected/detected, rollback started/completed), strided occupancy
+//!   samples and the final report as the simulation progresses.
 //!
 //! # Quickstart
 //!
@@ -187,54 +186,16 @@ pub fn event_json(ev: &SimEvent) -> String {
     }
 }
 
-/// Typed run instrumentation: the system drives these hooks as the
+/// Run instrumentation: the system drives these hooks as the
 /// simulation progresses, replacing the old polled debug strings
 /// (`debug_state`, `injector_debug`, `debug_little_phases`).
 ///
-/// Every hook has a no-op default — implement only what you need.
-/// Observers that want the whole stream (loggers, serialisers) can
-/// override [`Observer::event`] instead; its default implementation
-/// fans each [`SimEvent`] out to the matching typed hooks
-/// ([`SimEvent::SegmentClosed`] drives *both* `verdict` and
-/// `segment_closed`).
+/// Every hook has a default — implement only what you need.
+/// Structured events arrive through [`Observer::event`]; consumers
+/// match on the [`SimEvent`] variants they care about.
 pub trait Observer: Send {
-    /// Catch-all: called once per event, before-the-fact dispatch to
-    /// the typed hooks. Override to consume the raw stream.
-    fn event(&mut self, ev: &SimEvent) {
-        match *ev {
-            SimEvent::SegmentOpened { seg, checker, cycle } => {
-                self.segment_opened(seg, checker, cycle)
-            }
-            SimEvent::SegmentClosed { seg, pass, cycle } => {
-                self.verdict(seg, pass, cycle);
-                self.segment_closed(seg, pass, cycle);
-            }
-            SimEvent::FaultInjected { site, seg, cycle } => self.fault_injected(site, seg, cycle),
-            SimEvent::FaultDetected { ref record } => self.fault_detected(record),
-            SimEvent::RollbackStarted { seg, golden, cycle } => {
-                self.rollback_started(seg, golden, cycle)
-            }
-            SimEvent::RollbackCompleted { seg, cycle } => self.rollback_completed(seg, cycle),
-        }
-    }
-
-    /// A segment was assigned to checker core `checker`.
-    fn segment_opened(&mut self, _seg: u32, _checker: usize, _cycle: u64) {}
-    /// A segment's verdict was delivered and its checker released.
-    fn segment_closed(&mut self, _seg: u32, _pass: bool, _cycle: u64) {}
-    /// A segment verdict: `pass == false` is a checker-reported
-    /// mismatch. Fired together with [`Observer::segment_closed`].
-    fn verdict(&mut self, _seg: u32, _pass: bool, _cycle: u64) {}
-    /// An armed fault corrupted forwarded data.
-    fn fault_injected(&mut self, _site: FaultSite, _seg: u32, _cycle: u64) {}
-    /// An injected fault was detected.
-    fn fault_detected(&mut self, _record: &DetectionRecord) {}
-    /// A recovery rollback began.
-    fn rollback_started(&mut self, _seg: u32, _golden: bool, _cycle: u64) {}
-    /// A failure episode closed with a clean re-verification.
-    fn rollback_completed(&mut self, _seg: u32, _cycle: u64) {}
-    /// One big-core cycle elapsed. Called every cycle — keep it cheap.
-    fn tick(&mut self, _cycle: u64) {}
+    /// Called once per [`SimEvent`], in emission order.
+    fn event(&mut self, _ev: &SimEvent) {}
     /// Per-cycle occupancy sample (ROB, fabric backlog), taken right
     /// after the cycle's tick. Only called on cycles for which
     /// [`Observer::wants_sample_at`] returned `true` — keep it cheap.
@@ -261,14 +222,12 @@ pub trait Observer: Send {
 /// The zero-sized "nobody is watching" observer — the default type
 /// parameter of [`Sim`]. Runs built with
 /// [`SimBuilder::build_unobserved`] monomorphize against it, so every
-/// per-cycle hook (tick, sample construction, event fan-out) is
+/// per-cycle hook (sample construction, event dispatch) is
 /// statically dead code instead of an empty dynamic dispatch loop.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoObserver;
 
 impl Observer for NoObserver {
-    fn event(&mut self, _ev: &SimEvent) {}
-
     fn is_enabled(&self) -> bool {
         false
     }
@@ -307,12 +266,6 @@ impl Observer for ObserverSet {
     fn event(&mut self, ev: &SimEvent) {
         for obs in &mut self.0 {
             obs.event(ev);
-        }
-    }
-
-    fn tick(&mut self, cycle: u64) {
-        for obs in &mut self.0 {
-            obs.tick(cycle);
         }
     }
 
@@ -1015,18 +968,15 @@ impl<O: Observer> Sim<O> {
                 apply_to_timeline(&mut timeline, &ev);
                 self.observer.event(&ev);
             }
-            if self.observer.is_enabled() {
-                self.observer.tick(cycle);
-                if self.observer.wants_sample_at(cycle) {
-                    let (littles_idle, lsl_occupancy) = self.sys.littlecore_load();
-                    let sample = TickSample {
-                        rob_occupancy: self.sys.rob_occupancy(),
-                        fabric_depth: self.sys.fabric_depth(),
-                        littles_idle,
-                        lsl_occupancy,
-                    };
-                    self.observer.sample(cycle, sample);
-                }
+            if self.observer.is_enabled() && self.observer.wants_sample_at(cycle) {
+                let (littles_idle, lsl_occupancy) = self.sys.littlecore_load();
+                let sample = TickSample {
+                    rob_occupancy: self.sys.rob_occupancy(),
+                    fabric_depth: self.sys.fabric_depth(),
+                    littles_idle,
+                    lsl_occupancy,
+                };
+                self.observer.sample(cycle, sample);
             }
         }
         if !(self.halt_on_first_detection && self.sys.detection_count() > 0) {
@@ -1541,19 +1491,16 @@ mod tests {
     /// "anyone sampling this cycle?" check.
     #[derive(Clone, Default)]
     struct RefusesSamples {
-        ticks: Arc<Mutex<u64>>,
+        asked: Arc<Mutex<u64>>,
     }
 
     impl Observer for RefusesSamples {
-        fn tick(&mut self, _cycle: u64) {
-            *self.ticks.lock().expect("tick counter lock") += 1;
-        }
-
         fn sample(&mut self, cycle: u64, _sample: TickSample) {
             panic!("TickSample built on cycle {cycle} although nobody wants samples");
         }
 
         fn wants_sample_at(&self, _cycle: u64) -> bool {
+            *self.asked.lock().expect("ask counter lock") += 1;
             false
         }
     }
@@ -1563,8 +1510,8 @@ mod tests {
         let wl = small_workload();
         let obs = RefusesSamples::default();
         let outcome = Sim::builder(&wl, 5_000).observe(obs.clone()).build().expect("valid").run();
-        // tick still fires every cycle; the sample path never did.
-        assert_eq!(*obs.ticks.lock().expect("tick counter lock"), outcome.report.cycles);
+        // The observer was asked every cycle; the sample path never ran.
+        assert_eq!(*obs.asked.lock().expect("ask counter lock"), outcome.report.cycles);
         // The zero-sized unobserved path reports itself hook-free.
         assert!(!NoObserver.is_enabled());
         assert!(!NoObserver.wants_sample_at(0));

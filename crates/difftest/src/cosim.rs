@@ -33,9 +33,9 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Status chunks one checkpoint occupies at the F2 fabric's chunking
-/// (65 words / 4 per packet). Shared with the coverage prover's replay
-/// twin so both littlecore drivers stay on the fabric's real geometry.
-pub(crate) const CHUNKS_PER_CP: usize = 17;
+/// (65 words / 4 per packet), so the replay driver stays on the
+/// fabric's real geometry.
+const CHUNKS_PER_CP: usize = 17;
 
 /// Dynamic-instruction ceiling for a golden run; fuzzed programs are
 /// orders of magnitude shorter, so hitting this means non-termination.
@@ -218,24 +218,7 @@ pub struct CosimVerdict {
 
 /// Runs all three ways and lock-steps them.
 pub fn run(prog: &FuzzProgram, cfg: &CosimConfig) -> CosimVerdict {
-    run_full(prog, cfg).0
-}
-
-/// [`run`], but also hands back the shared per-case artifacts — the
-/// golden run and the built [`Workload`] (image + pre-decode table) —
-/// so fault oracles downstream reuse them instead of rebuilding both
-/// for every injected fault. `None` when the golden run itself trapped
-/// (there is nothing to reuse).
-pub fn run_full(
-    prog: &FuzzProgram,
-    cfg: &CosimConfig,
-) -> (CosimVerdict, Option<(GoldenRun, Workload)>) {
-    let wl = {
-        let _span = prof::span("image_build");
-        prog.workload()
-    };
-    let (verdict, golden) = run_workload(&wl, cfg);
-    (verdict, golden.map(|g| (g, wl)))
+    run_workload(&prog.workload(), cfg).0
 }
 
 /// Three-way co-simulation of an already-built [`Workload`] — the entry
@@ -289,130 +272,117 @@ fn replay_lockstep(
     golden: &GoldenRun,
     cfg: &CosimConfig,
 ) -> Result<u32, Divergence> {
-    let image = wl.image();
-    let mut core = LittleCore::new(0, LittleCoreConfig::optimized(), CHUNKS_PER_CP);
-    core.install_predecode(wl.predecoded().clone());
-    core.seed_initial_checkpoint(wl.initial_state().checkpoint());
-    let initial_csrs = wl.initial_state().csr_snapshot();
-    if !initial_csrs.is_empty() {
-        core.install_initial_csrs(std::sync::Arc::new(initial_csrs));
-    }
     let n = golden.trace.len();
     let seg_len = cfg.seg_len.max(1) as usize;
-    let n_segs = n.div_ceil(seg_len);
-    let mut now = 0u64;
-    let mut seq = 0u64;
-    // Replaying the segment's end state requires the checkpoint *after*
-    // its last instruction; track it by replaying the writebacks the
-    // golden trace already carries.
+    let mut replay = TraceReplay::new(wl, wl.initial_state().checkpoint());
+    // Each segment's ERCP is the golden state after its last
+    // instruction, folded forward from the trace's writeback records.
     let mut shadow = wl.initial_state().clone();
-    for seg_idx in 0..n_segs {
+    for (seg_idx, records) in golden.trace.chunks(seg_len).enumerate() {
         let seg = (seg_idx + 1) as u32;
-        let start = seg_idx * seg_len;
-        let end = (start + seg_len).min(n);
-        core.assign(seg);
-        for r in &golden.trace[start..end] {
-            if let Some(m) = r.mem {
-                core.lsl.deliver(
-                    Packet {
-                        seq,
-                        dest: DestMask::single(0),
-                        payload: Payload::Mem {
-                            seg,
-                            addr: m.addr,
-                            size: m.size,
-                            data: m.data,
-                            is_store: m.is_store,
-                        },
-                        created_at: now,
-                    },
-                    now,
-                );
-                seq += 1;
-            }
-            if let Some((addr, data)) = r.csr_read {
-                core.lsl.deliver(
-                    Packet {
-                        seq,
-                        dest: DestMask::single(0),
-                        payload: Payload::Csr { seg, addr, data },
-                        created_at: now,
-                    },
-                    now,
-                );
-                seq += 1;
-            }
-        }
-        // ERCP: the golden architectural state after the segment's last
-        // instruction, reconstructed from the trace's writeback records
-        // (the same commit-order view the DEU shadows).
-        for r in &golden.trace[start..end] {
-            apply_writeback(&mut shadow, r);
-        }
-        let ercp = shadow.checkpoint();
-        core.lsl.deliver(
-            Packet {
-                seq,
-                dest: DestMask::single(0),
-                payload: Payload::RcpEnd {
-                    seg,
-                    inst_count: (end - start) as u64,
-                    cp: Box::new(ercp),
-                },
-                created_at: now,
-            },
-            now,
-        );
-        seq += 1;
-        let replayed_before = core.stats().replayed_insts;
-        let deadline = now + 400 * (end - start) as u64 + 50_000;
-        // All forwarded data for the segment is already in the LSL, so
-        // the batched fast path consumes the whole record window in one
-        // call; a missing verdict means the replay starved (or spun past
-        // the deadline) — it can never catch up, because nothing more
-        // will be delivered.
-        let (resumed_at, ev) = core.check_burst(now, image, deadline);
-        now = resumed_at + 1;
-        match ev {
-            Some(CheckerEvent::SegmentVerified { seg: vseg, pass, mismatch }) => {
-                if !pass {
-                    let in_seg = core.stats().replayed_insts - replayed_before;
-                    // The failing comparison is the last replayed
-                    // instruction (LSL mismatches) or the segment end
-                    // (ERCP register mismatches).
-                    let at = (start as u64 + in_seg.saturating_sub(1)).min(n as u64 - 1);
-                    return Err(Divergence::Replay {
-                        seg: vseg,
-                        kind: mismatch.expect("failed segment carries a mismatch"),
-                        at_index: at,
-                        window: trace_window(golden, at as usize, cfg.window),
-                    });
-                }
-            }
-            _ => {
-                return Err(Divergence::ReplayStuck {
-                    seg,
-                    replayed: core.stats().replayed_insts - replayed_before,
+        fold_writebacks(&mut shadow, records);
+        match replay.segment(seg, records, shadow.checkpoint(), None) {
+            (_, Some(CheckerEvent::SegmentVerified { pass: true, .. })) => {}
+            (in_seg, Some(CheckerEvent::SegmentVerified { seg: vseg, mismatch, .. })) => {
+                // The failing comparison is the last replayed
+                // instruction (LSL mismatches) or the segment end
+                // (ERCP register mismatches).
+                let at = (seg_idx * seg_len) as u64 + in_seg.saturating_sub(1);
+                let at = at.min(n as u64 - 1);
+                return Err(Divergence::Replay {
+                    seg: vseg,
+                    kind: mismatch.expect("failed segment carries a mismatch"),
+                    at_index: at,
+                    window: trace_window(golden, at as usize, cfg.window),
                 });
             }
+            (replayed, _) => return Err(Divergence::ReplayStuck { seg, replayed }),
         }
     }
-    Ok(n_segs as u32)
+    Ok(n.div_ceil(seg_len) as u32)
 }
 
-/// Applies a retired instruction's writeback to a commit-order shadow
-/// state (the DEU's view), so segment-end checkpoints can be cut at
-/// arbitrary trace indices. Shared with the coverage prover, which cuts
-/// its replay-twin checkpoints at recorded segment boundaries.
-pub(crate) fn apply_writeback(shadow: &mut ArchState, r: &Retired) {
-    use meek_isa::WbDest;
-    if let Some((dest, v)) = r.wb {
-        match dest {
-            WbDest::Int(reg) => shadow.set_x(reg, v),
-            WbDest::Fp(freg) => shadow.set_f(freg, v),
+/// The golden-trace replay driver shared by the lock-step way and the
+/// coverage prover's replay twin: a real littlecore fed golden-trace
+/// slices exactly as the fabric would deliver them — run-time memory
+/// and CSR records, then the segment-closing checkpoint.
+pub(crate) struct TraceReplay<'a> {
+    wl: &'a Workload,
+    core: LittleCore,
+    seq: u64,
+    now: u64,
+}
+
+impl<'a> TraceReplay<'a> {
+    /// A checker for `wl` whose first segment starts from `srcp`.
+    pub(crate) fn new(wl: &'a Workload, srcp: RegCheckpoint) -> TraceReplay<'a> {
+        let mut core = LittleCore::new(0, LittleCoreConfig::optimized(), CHUNKS_PER_CP);
+        core.install_predecode(wl.predecoded().clone());
+        core.seed_initial_checkpoint(srcp);
+        let initial_csrs = wl.initial_state().csr_snapshot();
+        if !initial_csrs.is_empty() {
+            core.install_initial_csrs(std::sync::Arc::new(initial_csrs));
         }
+        TraceReplay { wl, core, seq: 0, now: 0 }
     }
-    shadow.pc = r.next_pc;
+
+    fn deliver(&mut self, payload: Payload) {
+        let packet =
+            Packet { seq: self.seq, dest: DestMask::single(0), payload, created_at: self.now };
+        self.core.lsl.deliver(packet, self.now);
+        self.seq += 1;
+    }
+
+    /// Replays `records` as segment `seg` closed by `ercp`, with the
+    /// memory record at offset `i` replaced by `(addr, data)` when
+    /// `corrupt` is `Some((i, addr, data))`. Returns the instructions
+    /// replayed and the verdict; `None` means the replay starved or
+    /// overran its deadline — it can never catch up, because the whole
+    /// segment is delivered before the batched replay starts.
+    pub(crate) fn segment(
+        &mut self,
+        seg: u32,
+        records: &[Retired],
+        ercp: RegCheckpoint,
+        corrupt: Option<(usize, u64, u64)>,
+    ) -> (u64, Option<CheckerEvent>) {
+        self.core.assign(seg);
+        for (i, r) in records.iter().enumerate() {
+            if let Some(m) = r.mem {
+                let (addr, data) = match corrupt {
+                    Some((at, caddr, cdata)) if at == i => (caddr, cdata),
+                    _ => (m.addr, m.data),
+                };
+                self.deliver(Payload::Mem { seg, addr, size: m.size, data, is_store: m.is_store });
+            }
+            if let Some((addr, data)) = r.csr_read {
+                self.deliver(Payload::Csr { seg, addr, data });
+            }
+        }
+        let len = records.len() as u64;
+        self.deliver(Payload::RcpEnd { seg, inst_count: len, cp: Box::new(ercp) });
+        let before = self.core.stats().replayed_insts;
+        let deadline = self.now + 400 * len + 50_000;
+        let (resumed_at, ev) = self.core.check_burst(self.now, self.wl.image(), deadline);
+        self.now = resumed_at + 1;
+        (self.core.stats().replayed_insts - before, ev)
+    }
+}
+
+/// Folds retired instructions' writebacks into a commit-order shadow
+/// state (the DEU's view), so checkpoints can be cut at arbitrary trace
+/// indices.
+pub(crate) fn fold_writebacks(shadow: &mut ArchState, records: &[Retired]) {
+    use meek_isa::WbDest;
+    for r in records {
+        if let Some((dest, v)) = r.wb {
+            match dest {
+                WbDest::Int(reg) => shadow.set_x(reg, v),
+                WbDest::Fp(freg) => shadow.set_f(freg, v),
+            }
+        }
+        shadow.pc = r.next_pc;
+    }
 }
 
 /// Way 3: the full MEEK SoC runs the program; the big core's commit

@@ -21,11 +21,10 @@
 //! silent-data-corruption events the MEEK architecture exists to
 //! prevent.
 
-use crate::cosim::GoldenRun;
+use crate::cosim::{fold_writebacks, GoldenRun, TraceReplay};
 use meek_core::{CorruptedField, FaultSite, FaultSpec, MaskRecord, Sim};
-use meek_fabric::{DestMask, Packet, PacketSink, Payload};
 use meek_isa::state::RegCheckpoint;
-use meek_littlecore::{CheckerEvent, LittleCore, LittleCoreConfig};
+use meek_littlecore::CheckerEvent;
 use meek_workloads::Workload;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -219,7 +218,7 @@ fn prove_benign(golden: &GoldenRun, wl: &Workload, mask: &MaskRecord) -> FaultOu
                 }
             };
             let srcp = state_at(golden, wl, start);
-            replay_twin(golden, wl, start, end, srcp, Some((idx, caddr, cdata)), mask)
+            replay_twin(golden, wl, start, end, srcp, Some((idx - start, caddr, cdata)), mask)
         }
         CorruptedField::Register { index, clean_cp } => {
             // The corrupted checkpoint was cut at the surface's opening
@@ -245,15 +244,13 @@ fn prove_benign(golden: &GoldenRun, wl: &Workload, mask: &MaskRecord) -> FaultOu
 /// writeback records (the same commit-order view the DEU shadows).
 fn state_at(golden: &GoldenRun, wl: &Workload, k: usize) -> RegCheckpoint {
     let mut shadow = wl.initial_state().clone();
-    for r in &golden.trace[..k] {
-        crate::cosim::apply_writeback(&mut shadow, r);
-    }
+    fold_writebacks(&mut shadow, &golden.trace[..k]);
     shadow.checkpoint()
 }
 
 /// Replays `golden.trace[start..end]` on a littlecore as one segment:
 /// SRCP = `srcp` (possibly corrupted), run-time records from the golden
-/// trace — with the record anchored at `corrupt`'s absolute trace index
+/// trace — with the memory record at `corrupt`'s offset into the surface
 /// replaced by the corrupted `(addr, data)` — and the fault-free golden
 /// registers at `end` as the ERCP.
 fn replay_twin(
@@ -265,69 +262,10 @@ fn replay_twin(
     corrupt: Option<(usize, u64, u64)>,
     mask: &MaskRecord,
 ) -> FaultOutcome {
-    let image = wl.image();
-    let mut core = LittleCore::new(0, LittleCoreConfig::optimized(), crate::cosim::CHUNKS_PER_CP);
-    core.install_predecode(wl.predecoded().clone());
-    let initial_csrs = wl.initial_state().csr_snapshot();
-    if !initial_csrs.is_empty() {
-        core.install_initial_csrs(std::sync::Arc::new(initial_csrs));
-    }
-    core.seed_initial_checkpoint(srcp);
-    core.assign(1);
-    let mut seq = 0u64;
-    for (i, r) in golden.trace[start..end].iter().enumerate() {
-        let abs = start + i;
-        if let Some(m) = r.mem {
-            let (addr, data) = match corrupt {
-                Some((idx, caddr, cdata)) if idx == abs => (caddr, cdata),
-                _ => (m.addr, m.data),
-            };
-            core.lsl.deliver(
-                Packet {
-                    seq,
-                    dest: DestMask::single(0),
-                    payload: Payload::Mem {
-                        seg: 1,
-                        addr,
-                        size: m.size,
-                        data,
-                        is_store: m.is_store,
-                    },
-                    created_at: 0,
-                },
-                0,
-            );
-            seq += 1;
-        }
-        if let Some((addr, data)) = r.csr_read {
-            core.lsl.deliver(
-                Packet {
-                    seq,
-                    dest: DestMask::single(0),
-                    payload: Payload::Csr { seg: 1, addr, data },
-                    created_at: 0,
-                },
-                0,
-            );
-            seq += 1;
-        }
-    }
-    let len = (end - start) as u64;
     let ercp = if end == golden.trace.len() { golden.final_cp } else { state_at(golden, wl, end) };
-    core.lsl.deliver(
-        Packet {
-            seq,
-            dest: DestMask::single(0),
-            payload: Payload::RcpEnd { seg: 1, inst_count: len, cp: Box::new(ercp) },
-            created_at: 0,
-        },
-        0,
-    );
-    let deadline = 400 * len + 50_000;
     // The whole (possibly corrupted) log is pre-delivered, so the twin
     // replays the surface segment as one batched record window.
-    let (_, ev) = core.check_burst(0, image, deadline);
-    match ev {
+    match TraceReplay::new(wl, srcp).segment(1, &golden.trace[start..end], ercp, corrupt).1 {
         Some(CheckerEvent::SegmentVerified { pass: true, .. }) => FaultOutcome::MaskedProvenBenign,
         Some(CheckerEvent::SegmentVerified { mismatch, .. }) => FaultOutcome::Escaped {
             reason: format!(

@@ -26,9 +26,11 @@
 //!   that each detected fault end with a final architectural state
 //!   (registers, CSRs, memory) equal to the golden interpreter's.
 //!
-//! The `meek-difftest` CLI fans cases out over the `meek-campaign`
-//! executor; its report is byte-identical for a given seed at any
-//! `--threads`.
+//! One case of the pipeline — fuzz or rotate a program, co-simulate it,
+//! classify a fault plan — is [`run_case`] ([`case`]), shared by the
+//! `meek-difftest` CLI, `meek-serve` difftest jobs and the case-rate
+//! benches. The CLI fans cases out over the `meek-campaign` executor;
+//! its report is byte-identical for a given seed at any `--threads`.
 //!
 //! # Example
 //!
@@ -43,6 +45,7 @@
 //!
 //! [`FaultSpec`]: meek_core::FaultSpec
 
+pub mod case;
 pub mod cosim;
 pub mod coverage;
 pub mod fuzz;
@@ -50,6 +53,7 @@ pub mod recover;
 pub mod shrink;
 pub mod stats;
 
+pub use case::{case_seed, run_case, CaseConfig, CaseResult};
 pub use cosim::{
     golden_run, golden_run_bounded, golden_run_in, run_workload, CosimConfig, CosimVerdict,
     Divergence, GoldenRun,

@@ -16,10 +16,9 @@
 //! output is byte-identical at any `--threads`.
 
 use meek_campaign::Executor;
-use meek_core::FabricKind;
 use meek_difftest::{
-    classify_in, cosim, emit_test, fault_plan, fuzz_program, minimize, verify_recovery_in,
-    CosimConfig, DifftestStats, Divergence, FaultOutcome, FuzzConfig, RecoveryVerdict,
+    case_seed, emit_test, fuzz_program, minimize, run_case, CaseConfig, CaseResult, DifftestStats,
+    Divergence, FaultOutcome, FuzzConfig, RecoveryVerdict,
 };
 use meek_telemetry::prof;
 use std::io::Write;
@@ -77,12 +76,7 @@ struct Args {
     cases: u64,
     seed: u64,
     threads: usize,
-    faults: usize,
-    seg_len: u64,
-    static_len: usize,
-    little: usize,
-    suite: bool,
-    recover: bool,
+    case: CaseConfig,
     stats: bool,
     prof: Option<String>,
     shrink: bool,
@@ -117,12 +111,7 @@ impl Args {
             cases: 100,
             seed: 0,
             threads: 0,
-            faults: 3,
-            seg_len: 192,
-            static_len: 220,
-            little: 4,
-            suite: false,
-            recover: false,
+            case: CaseConfig::default(),
             stats: false,
             prof: None,
             shrink: false,
@@ -136,20 +125,24 @@ impl Args {
                 "--cases" => args.cases = parse_num(&value("--cases")?, "--cases")?,
                 "--seed" => args.seed = parse_seed(&value("--seed")?),
                 "--threads" => args.threads = parse_num(&value("--threads")?, "--threads")?,
-                "--faults" => args.faults = parse_num(&value("--faults")?, "--faults")?,
-                "--seg-len" => args.seg_len = parse_num(&value("--seg-len")?, "--seg-len")?,
-                "--static-len" => {
-                    args.static_len = parse_num(&value("--static-len")?, "--static-len")?
+                "--faults" => args.case.faults = parse_num(&value("--faults")?, "--faults")?,
+                "--seg-len" => {
+                    args.case.cosim.seg_len = parse_num(&value("--seg-len")?, "--seg-len")?
                 }
-                "--little" => args.little = parse_num(&value("--little")?, "--little")?,
+                "--static-len" => {
+                    args.case.static_len = parse_num(&value("--static-len")?, "--static-len")?
+                }
+                "--little" => {
+                    args.case.cosim.n_little = parse_num(&value("--little")?, "--little")?
+                }
                 "--suite" => {
                     let name = value("--suite")?;
                     if name != "progs" {
                         return Err(format!("unknown suite `{name}` (try `progs`)"));
                     }
-                    args.suite = true;
+                    args.case.progs = true;
                 }
-                "--recover" => args.recover = true,
+                "--recover" => args.case.recover = true,
                 "--stats" => args.stats = true,
                 "--prof" => args.prof = Some(value("--prof")?),
                 "--shrink" => args.shrink = true,
@@ -158,78 +151,15 @@ impl Args {
                 other => return Err(format!("unknown flag `{other}`")),
             }
         }
-        if args.cases == 0 || args.seg_len == 0 || args.static_len == 0 || args.little == 0 {
+        let case = &args.case;
+        if args.cases == 0
+            || case.cosim.seg_len == 0
+            || case.static_len == 0
+            || case.cosim.n_little == 0
+        {
             return Err("--cases, --seg-len, --static-len and --little must be positive".into());
         }
         Ok(args)
-    }
-}
-
-/// SplitMix64 finaliser, for deriving per-case seeds.
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-struct CaseResult {
-    case_seed: u64,
-    executed: u64,
-    segments: u32,
-    system_cycles: u64,
-    divergence: Option<Divergence>,
-    outcomes: Vec<(meek_core::FaultSpec, FaultOutcome, Option<RecoveryVerdict>)>,
-}
-
-/// The `--suite progs` rotation: the committed benchmark kernels in
-/// canonical order, then the fused all-kernel multi-workload set —
-/// the canonical rotation `meek-serve` difftest jobs share.
-fn suite_workload(case: u64) -> meek_workloads::Workload {
-    meek_progs::rotation_workload(case)
-}
-
-fn run_case(case_seed: u64, case: u64, args: &Args) -> CaseResult {
-    let cfg =
-        CosimConfig { seg_len: args.seg_len, n_little: args.little, ..CosimConfig::default() };
-    let (verdict, shared) = if args.suite {
-        let wl = {
-            let _span = prof::span("image_build");
-            suite_workload(case)
-        };
-        let (verdict, golden) = cosim::run_workload(&wl, &cfg);
-        (verdict, golden.map(|g| (g, wl)))
-    } else {
-        let prog = fuzz_program(case_seed, &FuzzConfig { static_len: args.static_len });
-        cosim::run_full(&prog, &cfg)
-    };
-    let mut outcomes = Vec::new();
-    if verdict.divergence.is_none() && args.faults > 0 && verdict.executed > 0 {
-        // Only a program whose clean run agrees three ways is a valid
-        // substrate for coverage classification. The co-simulation
-        // already produced the golden run and the built workload; every
-        // injected fault reuses both.
-        let (golden, wl) = shared.expect("clean cosim carries its golden run");
-        for spec in fault_plan(case_seed, args.faults, verdict.executed) {
-            if args.recover {
-                let _span = prof::span("recovery");
-                let (outcome, recovery) =
-                    verify_recovery_in(&golden, &wl, spec, args.little, FabricKind::F2);
-                outcomes.push((spec, outcome, Some(recovery)));
-            } else {
-                let _span = prof::span("classify");
-                let outcome = classify_in(&golden, &wl, spec, args.little);
-                outcomes.push((spec, outcome, None));
-            }
-        }
-    }
-    CaseResult {
-        case_seed,
-        executed: verdict.executed,
-        segments: verdict.segments,
-        system_cycles: verdict.system_cycles,
-        divergence: verdict.divergence,
-        outcomes,
     }
 }
 
@@ -237,7 +167,7 @@ fn run_case(case_seed: u64, case: u64, args: &Args) -> CaseResult {
 /// stream the co-simulation would run, one report per program.
 fn cmd_analyze(args: &Args) -> ExitCode {
     let mut unclean = 0u64;
-    if args.suite {
+    if args.case.progs {
         for k in &meek_progs::KERNELS {
             let prog = meek_progs::suite::program(k);
             let report = meek_progs::analyze_program(&prog);
@@ -255,8 +185,8 @@ fn cmd_analyze(args: &Args) -> ExitCode {
         );
     } else {
         for case in 0..args.cases {
-            let case_seed = splitmix(args.seed ^ case.wrapping_mul(0x9E37_79B9));
-            let prog = fuzz_program(case_seed, &FuzzConfig { static_len: args.static_len });
+            let case_seed = case_seed(args.seed, case);
+            let prog = fuzz_program(case_seed, &FuzzConfig { static_len: args.case.static_len });
             let mut spec = meek_difftest::FuzzProgram::spec();
             spec.name = format!("case {case} (seed {case_seed:#x})");
             let report = meek_analyze::analyze_words(&prog.words, &spec);
@@ -299,22 +229,21 @@ fn main() -> ExitCode {
         return cmd_analyze(&args);
     }
     let executor = Executor::new(args.threads);
-    if args.suite {
+    let (faults, seg_len, little) =
+        (args.case.faults, args.case.cosim.seg_len, args.case.cosim.n_little);
+    if args.case.progs {
         println!(
             "meek-difftest: {} case(s) over the `progs` suite ({} kernel(s) + fused set), \
-             seed {:#x}, {} fault(s)/case, seg-len {}, {} little core(s)",
+             seed {:#x}, {faults} fault(s)/case, seg-len {seg_len}, {little} little core(s)",
             args.cases,
             meek_progs::KERNELS.len(),
             args.seed,
-            args.faults,
-            args.seg_len,
-            args.little
         );
     } else {
         println!(
-            "meek-difftest: {} case(s), seed {:#x}, {} fault(s)/case, seg-len {}, \
-             static-len {}, {} little core(s)",
-            args.cases, args.seed, args.faults, args.seg_len, args.static_len, args.little
+            "meek-difftest: {} case(s), seed {:#x}, {faults} fault(s)/case, seg-len {seg_len}, \
+             static-len {}, {little} little core(s)",
+            args.cases, args.seed, args.case.static_len
         );
     }
     if args.prof.is_some() {
@@ -333,12 +262,12 @@ fn main() -> ExitCode {
     let mut stats = args.stats.then(DifftestStats::new);
     executor.map_ordered(
         &case_ids,
-        |_idx, &case| run_case(splitmix(args.seed ^ case.wrapping_mul(0x9E37_79B9)), case, &args),
+        |_idx, &case| run_case(&args.case, case, case_seed(args.seed, case)),
         |idx, r: CaseResult| {
-            executed += r.executed;
-            segments += r.segments as u64;
-            cycles += r.system_cycles;
-            if let Some(d) = r.divergence {
+            executed += r.verdict.executed;
+            segments += r.verdict.segments as u64;
+            cycles += r.verdict.system_cycles;
+            if let Some(d) = r.verdict.divergence {
                 println!("case {idx} (seed {:#x}): DIVERGENCE\n{d}", r.case_seed);
                 failures.push((r.case_seed, d));
             }
@@ -411,7 +340,7 @@ fn main() -> ExitCode {
         assert_eq!(st.latency_count(), detected, "one latency observation per detection");
         print!("{}", st.render_table());
     }
-    if args.recover && total_faults > 0 {
+    if args.case.recover && total_faults > 0 {
         println!(
             "recovery: {recovered} detection(s) recovered to golden-equal final state \
              ({rollbacks} rollback(s), worst episode {worst_recovery_cycles} cycle(s)), \
@@ -441,18 +370,13 @@ fn main() -> ExitCode {
         }
     }
 
-    if args.shrink && args.suite {
+    if args.shrink && args.case.progs {
         eprintln!("[shrink] --suite cases are committed programs; nothing to shrink");
     } else if args.shrink {
         if let Some((case_seed, _)) = failures.first() {
-            let cfg = CosimConfig {
-                seg_len: args.seg_len,
-                n_little: args.little,
-                ..CosimConfig::default()
-            };
             eprintln!("[shrink] minimising case seed {case_seed:#x}...");
-            let prog = fuzz_program(*case_seed, &FuzzConfig { static_len: args.static_len });
-            let min = minimize(&prog, &cfg);
+            let prog = fuzz_program(*case_seed, &FuzzConfig { static_len: args.case.static_len });
+            let min = minimize(&prog, &args.case.cosim);
             let test = emit_test(
                 &format!("shrunk_case_{case_seed:x}"),
                 &min,
@@ -476,7 +400,7 @@ fn main() -> ExitCode {
     }
 
     if failures.is_empty() && escapes.is_empty() && unrecovered == 0 {
-        if args.recover {
+        if args.case.recover {
             println!("OK: zero divergences, zero escapes, zero unrecovered detections");
         } else {
             println!("OK: zero divergences, zero escapes");

@@ -26,7 +26,8 @@ fn campaign(threads: usize, recover: bool) -> String {
         &case_ids,
         |_idx, &case| {
             let prog = fuzz_program(case ^ 0x5EED, &FuzzConfig { static_len: 120 });
-            let (verdict, shared) = cosim::run_full(&prog, &cfg);
+            let wl = prog.workload();
+            let (verdict, golden) = cosim::run_workload(&wl, &cfg);
             let mut line = format!(
                 "case {case}: executed {} segments {} cycles {} divergence {:?}\n",
                 verdict.executed,
@@ -35,7 +36,7 @@ fn campaign(threads: usize, recover: bool) -> String {
                 verdict.divergence.as_ref().map(|d| d.to_string()),
             );
             if verdict.divergence.is_none() && verdict.executed > 0 {
-                let (golden, wl) = shared.expect("clean cosim carries its golden run");
+                let golden = golden.expect("clean cosim carries its golden run");
                 for spec in fault_plan(case, FAULTS, verdict.executed) {
                     if recover {
                         let (o, r) = verify_recovery_in(&golden, &wl, spec, 4, FabricKind::F2);
@@ -87,10 +88,11 @@ fn stats_table_is_thread_count_invariant_and_reconciles() {
             &case_ids,
             |_idx, &case| {
                 let prog = fuzz_program(case ^ 0x5EED, &FuzzConfig { static_len: 120 });
-                let (verdict, shared) = cosim::run_full(&prog, &cfg);
+                let wl = prog.workload();
+                let (verdict, golden) = cosim::run_workload(&wl, &cfg);
                 let mut outcomes = Vec::new();
                 if verdict.divergence.is_none() && verdict.executed > 0 {
-                    let (golden, wl) = shared.expect("clean cosim carries its golden run");
+                    let golden = golden.expect("clean cosim carries its golden run");
                     for spec in fault_plan(case, FAULTS, verdict.executed) {
                         outcomes.push((spec, classify_in(&golden, &wl, spec, 4)));
                     }

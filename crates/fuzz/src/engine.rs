@@ -27,12 +27,12 @@ use crate::coverage::{bucket, golden_features, CoverageMap, FeatureSet};
 use crate::dict::Dictionary;
 use crate::mutate::{self, decodable, writes_anchor};
 use crate::report::FuzzReport;
-use meek_campaign::Executor;
+use meek_campaign::{splitmix, Executor};
 use meek_core::{FabricKind, FaultSite, FaultSpec, RecoveryPolicy, Sim};
 use meek_difftest::{
-    classify_with_in, cosim, emit_test, fault_plan, fuzz_program, golden_run_bounded, minimize,
-    shrink_insts, verify_recovery_outcome_in, CosimConfig, FaultOutcome, FuzzConfig, FuzzProgram,
-    GoldenRun,
+    classify_with_in, cosim, emit_test, fault_plan, fuzz_program, golden_run_bounded,
+    golden_run_in, minimize, shrink_insts, verify_recovery_outcome_in, CosimConfig, FaultOutcome,
+    FuzzConfig, FuzzProgram, GoldenRun,
 };
 use meek_isa::{encode, Inst};
 use rand::rngs::SmallRng;
@@ -93,14 +93,6 @@ impl Default for FuzzSettings {
             batch: 32,
         }
     }
-}
-
-/// SplitMix64 finaliser, for deriving per-candidate seeds.
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -285,10 +277,13 @@ fn evaluate(cand: &Candidate, s: &FuzzSettings) -> CaseEval {
             return CaseEval::rejected();
         }
     }
+    // One image build and pre-decode pass serves the golden pre-screen,
+    // the co-simulation and every fault run below.
+    let wl = prog.workload();
     // Bounded golden pre-screen. Mutated programs that trap or run away
     // are rejected (relinking manufactures both); a *fresh* program
     // doing either is a seed-fuzzer bug and counts as a divergence.
-    let golden: GoldenRun = match golden_run_bounded(&prog, EVAL_CAP) {
+    let golden: GoldenRun = match golden_run_in(&wl, EVAL_CAP) {
         Ok(g) if (g.trace.len() as u64) < EVAL_CAP && !g.trace.is_empty() => g,
         Ok(_) if cand.kind == CandidateKind::Mutated => return CaseEval::rejected(),
         Ok(_) => {
@@ -333,7 +328,7 @@ fn evaluate(cand: &Candidate, s: &FuzzSettings) -> CaseEval {
 
     // Three-way co-simulation: any divergence on a valid program is a
     // real finding.
-    let verdict = cosim::run(&prog, &cfg);
+    let verdict = cosim::run_workload(&wl, &cfg).0;
     map.note(format!("segments:{}", bucket(verdict.segments as u64)));
     if let Some(d) = verdict.divergence {
         map.note(format!("divergence:{}", d.kind_name()));
@@ -365,7 +360,6 @@ fn evaluate(cand: &Candidate, s: &FuzzSettings) -> CaseEval {
     // with the coverage observer attached to the very run the oracle
     // judges.
     let mut escapes = Vec::new();
-    let wl = prog.workload();
     for &spec in &plan {
         let run = catch_unwind(AssertUnwindSafe(|| {
             let mut b = Sim::builder(&wl, executed)

@@ -250,6 +250,26 @@ impl LittleCore {
         self.replayed
     }
 
+    /// Takes segment `seg`'s SRCP — checkpoint `seg - 1`, carried over
+    /// when this core verified the previous segment, else the head
+    /// status record — after dropping stale status records older than
+    /// it. `None` while the checkpoint has not arrived.
+    fn take_srcp(&mut self, seg: u32) -> Option<StatusRecord> {
+        while self.lsl.peek_status().is_some_and(|r| r.seg < seg - 1) {
+            self.lsl.pop_status();
+            release_status_chunks(&mut self.lsl, self.chunks_per_cp);
+        }
+        if self.carried_srcp.as_ref().map(|r| r.seg) == Some(seg - 1) {
+            self.carried_srcp.take()
+        } else if self.lsl.peek_status().map(|r| r.seg) == Some(seg - 1) {
+            let rec = self.lsl.pop_status();
+            release_status_chunks(&mut self.lsl, self.chunks_per_cp);
+            rec
+        } else {
+            None
+        }
+    }
+
     /// Advances the checker by one little-core cycle.
     ///
     /// `imem` is the shared read-only program image. Returns an event when
@@ -261,29 +281,12 @@ impl LittleCore {
         let seg = self.assignment?;
         match &mut self.phase {
             Phase::WaitSrcp => {
-                // SRCP of segment n is checkpoint n-1 (carried over when
-                // this core verified the previous segment).
-                while self.lsl.peek_status().is_some_and(|r| r.seg < seg - 1) {
-                    self.lsl.pop_status();
-                    release_status_chunks(&mut self.lsl, self.chunks_per_cp);
-                }
-                let srcp = if self.carried_srcp.as_ref().map(|r| r.seg) == Some(seg - 1) {
-                    self.carried_srcp.take()
-                } else if self.lsl.peek_status().map(|r| r.seg) == Some(seg - 1) {
-                    let rec = self.lsl.pop_status();
-                    release_status_chunks(&mut self.lsl, self.chunks_per_cp);
-                    rec
-                } else {
-                    None
-                };
-                match srcp {
+                match self.take_srcp(seg) {
                     Some(rec) => {
                         self.arch.apply_checkpoint(&rec.cp);
                         self.phase = Phase::Apply { remaining: self.cfg.apply_latency };
                     }
-                    None => {
-                        self.stats.wait_data_cycles += 1;
-                    }
+                    None => self.stats.wait_data_cycles += 1,
                 }
                 None
             }
@@ -352,33 +355,18 @@ impl LittleCore {
         };
         while vnow <= deadline {
             match &mut self.phase {
-                Phase::WaitSrcp => {
-                    while self.lsl.peek_status().is_some_and(|r| r.seg < seg - 1) {
-                        self.lsl.pop_status();
-                        release_status_chunks(&mut self.lsl, self.chunks_per_cp);
+                Phase::WaitSrcp => match self.take_srcp(seg) {
+                    Some(rec) => {
+                        self.arch.apply_checkpoint(&rec.cp);
+                        self.phase = Phase::Apply { remaining: self.cfg.apply_latency };
+                        vnow += 1;
                     }
-                    let srcp = if self.carried_srcp.as_ref().map(|r| r.seg) == Some(seg - 1) {
-                        self.carried_srcp.take()
-                    } else if self.lsl.peek_status().map(|r| r.seg) == Some(seg - 1) {
-                        let rec = self.lsl.pop_status();
-                        release_status_chunks(&mut self.lsl, self.chunks_per_cp);
-                        rec
-                    } else {
-                        None
-                    };
-                    match srcp {
-                        Some(rec) => {
-                            self.arch.apply_checkpoint(&rec.cp);
-                            self.phase = Phase::Apply { remaining: self.cfg.apply_latency };
-                            vnow += 1;
-                        }
-                        None => {
-                            self.stats.wait_data_cycles += 1;
-                            self.busy_until = vnow;
-                            return (vnow, None);
-                        }
+                    None => {
+                        self.stats.wait_data_cycles += 1;
+                        self.busy_until = vnow;
+                        return (vnow, None);
                     }
-                }
+                },
                 Phase::Apply { remaining } => {
                     self.stats.apply_cycles += *remaining;
                     vnow += *remaining;

@@ -24,11 +24,7 @@ use crate::spool::{
     append_output, read_state, touch_output, truncate_outputs, write_state, JobProgress,
 };
 use meek_campaign::{run_shard, CsvSink, RecordSink, SampleSink, ShardResult};
-use meek_core::FabricKind;
-use meek_difftest::{
-    classify_in, cosim, fault_plan, fuzz_program, verify_recovery_in, CosimConfig, FaultOutcome,
-    FuzzConfig, RecoveryVerdict,
-};
+use meek_difftest::{case_seed, run_case, CaseConfig, CosimConfig, FaultOutcome, RecoveryVerdict};
 use meek_fuzz::{run_fuzz, Corpus, FeatureSet, FuzzSettings};
 use meek_workloads::WorkloadCache;
 use std::collections::BTreeMap;
@@ -349,50 +345,38 @@ fn run_difftest_job(job: &DifftestJob, ctx: &JobContext) -> Result<JobState, Str
     finish_progress(ctx, &mut progress, end)
 }
 
-/// SplitMix64 finaliser, matching the difftest CLI's per-case seed
-/// derivation so a serve job explores the same case grid.
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
+/// Runs one batch of cases through the shared difftest case pipeline
+/// (the very one `meek-difftest` runs, so a job explores the CLI's case
+/// grid) and renders one JSONL line per case.
 fn run_difftest_batch(job: &DifftestJob, batch_idx: u64) -> BatchResult {
-    let cfg = CosimConfig { seg_len: job.seg_len, n_little: job.little, ..CosimConfig::default() };
+    let cfg = CaseConfig {
+        cosim: CosimConfig { seg_len: job.seg_len, n_little: job.little, ..CosimConfig::default() },
+        faults: job.faults,
+        static_len: job.static_len,
+        progs: job.suite == "progs",
+        recover: job.recover,
+    };
     let first = batch_idx * job.batch;
     let last = (first + job.batch).min(job.cases);
     let mut jsonl = Vec::new();
     let mut deltas = BTreeMap::new();
     for case in first..last {
-        let case_seed = splitmix(job.seed ^ case.wrapping_mul(0x9E37_79B9));
-        // `progs` cases rotate over the committed benchmark kernels
-        // (plus the fused set) exactly like `meek-difftest --suite
-        // progs`; `fuzz` cases synthesise a random program per seed.
-        let (workload_name, verdict, shared) = if job.suite == "progs" {
-            let wl = meek_progs::rotation_workload(case);
-            let name = wl.name;
-            let (verdict, golden) = cosim::run_workload(&wl, &cfg);
-            (Some(name), verdict, golden.map(|g| (g, wl)))
-        } else {
-            let prog = fuzz_program(case_seed, &FuzzConfig { static_len: job.static_len });
-            let (verdict, shared) = cosim::run_full(&prog, &cfg);
-            (None, verdict, shared)
-        };
+        let r = run_case(&cfg, case, case_seed(job.seed, case));
+        let v = &r.verdict;
         bump(&mut deltas, "cases", 1);
-        bump(&mut deltas, "executed", verdict.executed);
-        bump(&mut deltas, "segments", verdict.segments as u64);
-        bump(&mut deltas, "cycles", verdict.system_cycles);
-        let mut line = format!("{{\"case\":{case},\"case_seed\":\"{case_seed:#x}\"");
-        if let Some(name) = workload_name {
+        bump(&mut deltas, "executed", v.executed);
+        bump(&mut deltas, "segments", v.segments as u64);
+        bump(&mut deltas, "cycles", v.system_cycles);
+        let mut line = format!("{{\"case\":{case},\"case_seed\":\"{:#x}\"", r.case_seed);
+        if let Some(name) = r.workload {
             let _ = write!(line, ",\"workload\":\"{}\"", crate::json::escape(name));
         }
         let _ = write!(
             line,
             ",\"executed\":{},\"segments\":{},\"cycles\":{}",
-            verdict.executed, verdict.segments, verdict.system_cycles
+            v.executed, v.segments, v.system_cycles
         );
-        match &verdict.divergence {
+        match &v.divergence {
             Some(d) => {
                 bump(&mut deltas, "divergences", 1);
                 let _ = write!(line, ",\"divergence\":\"{}\"", crate::json::escape(&d.to_string()));
@@ -400,87 +384,72 @@ fn run_difftest_batch(job: &DifftestJob, batch_idx: u64) -> BatchResult {
             None => line.push_str(",\"divergence\":null"),
         }
         line.push_str(",\"faults\":[");
-        if verdict.divergence.is_none() && job.faults > 0 && verdict.executed > 0 {
-            // The co-simulation already built the golden run and the
-            // workload; the whole fault plan reuses both.
-            let (golden, wl) = shared.expect("clean cosim carries its golden run");
-            for (i, spec) in fault_plan(case_seed, job.faults, verdict.executed).iter().enumerate()
-            {
-                if i > 0 {
-                    line.push(',');
-                }
-                bump(&mut deltas, "faults", 1);
-                let (outcome, recovery) = if job.recover {
-                    let (o, r) =
-                        verify_recovery_in(&golden, &wl, *spec, job.little, FabricKind::F2);
-                    (o, Some(r))
-                } else {
-                    (classify_in(&golden, &wl, *spec, job.little), None)
-                };
-                let _ = write!(
-                    line,
-                    "{{\"site\":\"{}\",\"bit\":{},\"arm\":{}",
-                    spec.site.name(),
-                    spec.bit,
-                    spec.arm_at_commit
-                );
-                match &outcome {
-                    FaultOutcome::Detected { latency_ns } => {
-                        bump(&mut deltas, "detected", 1);
-                        let _ = write!(
-                            line,
-                            ",\"outcome\":\"detected\",\"latency_ns\":{latency_ns:.3}"
-                        );
-                    }
-                    FaultOutcome::MaskedProvenBenign => {
-                        bump(&mut deltas, "masked", 1);
-                        line.push_str(",\"outcome\":\"masked\"");
-                    }
-                    FaultOutcome::Pending => {
-                        bump(&mut deltas, "pending", 1);
-                        line.push_str(",\"outcome\":\"pending\"");
-                    }
-                    FaultOutcome::Escaped { reason } => {
-                        bump(&mut deltas, "escapes", 1);
-                        let _ = write!(
-                            line,
-                            ",\"outcome\":\"escaped\",\"reason\":\"{}\"",
-                            crate::json::escape(reason)
-                        );
-                    }
-                }
-                match &recovery {
-                    None => {}
-                    Some(RecoveryVerdict::Recovered { rollbacks, max_cycles }) => {
-                        bump(&mut deltas, "recovered", 1);
-                        let _ = write!(
-                            line,
-                            ",\"recovery\":\"recovered\",\"rollbacks\":{rollbacks},\
-                             \"recovery_cycles\":{max_cycles}"
-                        );
-                    }
-                    Some(RecoveryVerdict::NothingToRecover) => {
-                        line.push_str(",\"recovery\":\"nothing_to_recover\"");
-                    }
-                    Some(RecoveryVerdict::Unrecovered { reason }) => {
-                        bump(&mut deltas, "unrecovered", 1);
-                        let _ = write!(
-                            line,
-                            ",\"recovery\":\"unrecovered\",\"reason\":\"{}\"",
-                            crate::json::escape(reason)
-                        );
-                    }
-                    Some(RecoveryVerdict::StateDiverged { reason }) => {
-                        bump(&mut deltas, "state_diverged", 1);
-                        let _ = write!(
-                            line,
-                            ",\"recovery\":\"state_diverged\",\"reason\":\"{}\"",
-                            crate::json::escape(reason)
-                        );
-                    }
-                }
-                line.push('}');
+        for (i, (spec, outcome, recovery)) in r.outcomes.iter().enumerate() {
+            if i > 0 {
+                line.push(',');
             }
+            bump(&mut deltas, "faults", 1);
+            let _ = write!(
+                line,
+                "{{\"site\":\"{}\",\"bit\":{},\"arm\":{}",
+                spec.site.name(),
+                spec.bit,
+                spec.arm_at_commit
+            );
+            match outcome {
+                FaultOutcome::Detected { latency_ns } => {
+                    bump(&mut deltas, "detected", 1);
+                    let _ =
+                        write!(line, ",\"outcome\":\"detected\",\"latency_ns\":{latency_ns:.3}");
+                }
+                FaultOutcome::MaskedProvenBenign => {
+                    bump(&mut deltas, "masked", 1);
+                    line.push_str(",\"outcome\":\"masked\"");
+                }
+                FaultOutcome::Pending => {
+                    bump(&mut deltas, "pending", 1);
+                    line.push_str(",\"outcome\":\"pending\"");
+                }
+                FaultOutcome::Escaped { reason } => {
+                    bump(&mut deltas, "escapes", 1);
+                    let _ = write!(
+                        line,
+                        ",\"outcome\":\"escaped\",\"reason\":\"{}\"",
+                        crate::json::escape(reason)
+                    );
+                }
+            }
+            match recovery {
+                None => {}
+                Some(RecoveryVerdict::Recovered { rollbacks, max_cycles }) => {
+                    bump(&mut deltas, "recovered", 1);
+                    let _ = write!(
+                        line,
+                        ",\"recovery\":\"recovered\",\"rollbacks\":{rollbacks},\
+                         \"recovery_cycles\":{max_cycles}"
+                    );
+                }
+                Some(RecoveryVerdict::NothingToRecover) => {
+                    line.push_str(",\"recovery\":\"nothing_to_recover\"");
+                }
+                Some(RecoveryVerdict::Unrecovered { reason }) => {
+                    bump(&mut deltas, "unrecovered", 1);
+                    let _ = write!(
+                        line,
+                        ",\"recovery\":\"unrecovered\",\"reason\":\"{}\"",
+                        crate::json::escape(reason)
+                    );
+                }
+                Some(RecoveryVerdict::StateDiverged { reason }) => {
+                    bump(&mut deltas, "state_diverged", 1);
+                    let _ = write!(
+                        line,
+                        ",\"recovery\":\"state_diverged\",\"reason\":\"{}\"",
+                        crate::json::escape(reason)
+                    );
+                }
+            }
+            line.push('}');
         }
         line.push_str("]}\n");
         jsonl.extend_from_slice(line.as_bytes());
@@ -525,10 +494,10 @@ fn run_fuzz_job(job: &FuzzJob, ctx: &JobContext) -> Result<JobState, String> {
         let iters = job.chunk.min(job.iters - chunk_idx * job.chunk);
         let settings = FuzzSettings {
             iters,
-            // Decorrelated per-chunk seed stream: a resumed chunk
-            // re-runs with the same seed and the same input corpus,
-            // hence identical output.
-            seed: splitmix(job.seed ^ chunk_idx.wrapping_mul(0x9E37_79B9)),
+            // Decorrelated per-chunk seed stream (the difftest per-case
+            // derivation): a resumed chunk re-runs with the same seed
+            // and the same input corpus, hence identical output.
+            seed: case_seed(job.seed, chunk_idx),
             threads: 1,
             guided: job.guided,
             recover: job.recover,

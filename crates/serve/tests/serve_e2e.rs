@@ -161,6 +161,12 @@ fn restart_mid_job_resumes_to_byte_identical_output() {
     let _ = std::fs::remove_dir_all(&spool);
 }
 
+/// Pinned `results.jsonl` bytes of the two difftest jobs below: any
+/// change to the case pipeline's verdicts or to the JSONL rendering
+/// shows up here as a byte diff.
+const GOLDEN_FUZZ_RESULTS: &str = include_str!("golden/difftest_fuzz_results.jsonl");
+const GOLDEN_PROGS_RESULTS: &str = include_str!("golden/difftest_progs_recover_results.jsonl");
+
 /// Difftest jobs checkpoint per case-batch; an interrupted run must
 /// resume to the same `results.jsonl` an uninterrupted daemon writes.
 #[test]
@@ -186,6 +192,7 @@ fn difftest_job_resumes_to_identical_results() {
         job.cases,
         "one JSONL line per case"
     );
+    assert_eq!(std::str::from_utf8(&want).unwrap(), GOLDEN_FUZZ_RESULTS, "golden drift");
     drop(daemon);
 
     // Interrupted after 1 of 3 batches, then resumed by a new daemon.
@@ -211,7 +218,8 @@ fn difftest_job_resumes_to_identical_results() {
 
 /// A `suite: progs` difftest job walks the committed benchmark-kernel
 /// rotation instead of fuzzed programs: each JSONL line names its
-/// workload, the clean runs agree three ways, and no fault escapes.
+/// workload, the clean runs agree three ways, no fault escapes, and the
+/// pinned lines carry every fault's recovery verdict.
 #[test]
 fn progs_suite_difftest_job_names_kernels_and_stays_clean() {
     let job = DifftestJob {
@@ -220,6 +228,7 @@ fn progs_suite_difftest_job_names_kernels_and_stays_clean() {
         batch: 2,
         faults: 1,
         seed: 5,
+        recover: true,
         ..DifftestJob::default()
     };
     let spool = scratch("difftest-progs");
@@ -232,6 +241,7 @@ fn progs_suite_difftest_job_names_kernels_and_stays_clean() {
     assert_eq!(status.counters.get("escapes"), None, "no fault escapes on kernels");
 
     let results = std::fs::read_to_string(daemon.job_dir(id).join("results.jsonl")).unwrap();
+    assert_eq!(results, GOLDEN_PROGS_RESULTS, "golden drift");
     for (case, line) in results.lines().enumerate() {
         let v = Json::parse(line).expect("result lines are JSON");
         let workload = v.get("workload").and_then(Json::as_str).expect("line names its workload");

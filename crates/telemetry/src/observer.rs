@@ -1,5 +1,6 @@
 //! [`MetricsObserver`]: the [`Observer`] consumer that turns the sim's
-//! event and sample hooks into [`Registry`] distributions.
+//! [`SimEvent`] stream and occupancy samples into [`Registry`]
+//! distributions.
 //!
 //! Everything recorded here is sim-domain (cycles, commits, counts) —
 //! no host time — so a registry accumulated over a run, rendered with
@@ -32,8 +33,8 @@
 //! | `ipc_milli` | hist | committed×1000 / app-cycles per run |
 
 use crate::registry::Registry;
-use meek_core::sim::{Observer, TickSample};
-use meek_core::{DetectionRecord, FaultSite, RunReport};
+use meek_core::sim::{Observer, SimEvent, TickSample};
+use meek_core::RunReport;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -83,52 +84,42 @@ impl MetricsObserver {
 }
 
 impl Observer for MetricsObserver {
-    fn segment_opened(&mut self, seg: u32, _checker: usize, cycle: u64) {
-        self.with(|st| {
-            st.reg.inc("segments_opened", 1);
-            st.open.insert(seg, cycle);
-            st.latest_seg = st.latest_seg.max(seg);
-        });
-    }
-
-    fn segment_closed(&mut self, seg: u32, pass: bool, cycle: u64) {
-        self.with(|st| {
-            let kind = if pass { "pass" } else { "fail" };
-            st.reg.inc(format!("verdicts{{kind={kind}}}"), 1);
-            if let Some(opened) = st.open.remove(&seg) {
-                st.reg.observe("segment_length_cycles", cycle.saturating_sub(opened));
+    fn event(&mut self, ev: &SimEvent) {
+        self.with(|st| match *ev {
+            SimEvent::SegmentOpened { seg, cycle, .. } => {
+                st.reg.inc("segments_opened", 1);
+                st.open.insert(seg, cycle);
+                st.latest_seg = st.latest_seg.max(seg);
             }
-        });
-    }
-
-    fn fault_injected(&mut self, site: FaultSite, _seg: u32, _cycle: u64) {
-        self.with(|st| st.reg.inc(format!("faults_injected{{site={}}}", site.name()), 1));
-    }
-
-    fn fault_detected(&mut self, record: &DetectionRecord) {
-        self.with(|st| {
-            let site = record.site.name();
-            st.reg.inc(format!("faults_detected{{site={site}}}"), 1);
-            st.reg.observe(
-                format!("detection_latency_cycles{{site={site}}}"),
-                record.detected_cycle.saturating_sub(record.injected_cycle),
-            );
-        });
-    }
-
-    fn rollback_started(&mut self, seg: u32, golden: bool, cycle: u64) {
-        self.with(|st| {
-            let kind = if golden { "golden" } else { "retry" };
-            st.reg.inc(format!("rollbacks{{kind={kind}}}"), 1);
-            st.rollback_from.entry(seg).or_insert(cycle);
-            st.reg.observe("rollback_depth_segments", u64::from(st.latest_seg.saturating_sub(seg)));
-        });
-    }
-
-    fn rollback_completed(&mut self, seg: u32, cycle: u64) {
-        self.with(|st| {
-            if let Some(started) = st.rollback_from.remove(&seg) {
-                st.reg.observe("rollback_latency_cycles", cycle.saturating_sub(started));
+            SimEvent::SegmentClosed { seg, pass, cycle } => {
+                let kind = if pass { "pass" } else { "fail" };
+                st.reg.inc(format!("verdicts{{kind={kind}}}"), 1);
+                if let Some(opened) = st.open.remove(&seg) {
+                    st.reg.observe("segment_length_cycles", cycle.saturating_sub(opened));
+                }
+            }
+            SimEvent::FaultInjected { site, .. } => {
+                st.reg.inc(format!("faults_injected{{site={}}}", site.name()), 1);
+            }
+            SimEvent::FaultDetected { ref record } => {
+                let site = record.site.name();
+                st.reg.inc(format!("faults_detected{{site={site}}}"), 1);
+                st.reg.observe(
+                    format!("detection_latency_cycles{{site={site}}}"),
+                    record.detected_cycle.saturating_sub(record.injected_cycle),
+                );
+            }
+            SimEvent::RollbackStarted { seg, golden, cycle } => {
+                let kind = if golden { "golden" } else { "retry" };
+                st.reg.inc(format!("rollbacks{{kind={kind}}}"), 1);
+                st.rollback_from.entry(seg).or_insert(cycle);
+                let depth = st.latest_seg.saturating_sub(seg);
+                st.reg.observe("rollback_depth_segments", u64::from(depth));
+            }
+            SimEvent::RollbackCompleted { seg, cycle } => {
+                if let Some(started) = st.rollback_from.remove(&seg) {
+                    st.reg.observe("rollback_latency_cycles", cycle.saturating_sub(started));
+                }
             }
         });
     }
