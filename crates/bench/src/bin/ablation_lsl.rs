@@ -28,14 +28,11 @@ fn main() {
             lsl: LslConfig { runtime_capacity: capacity, ..LslConfig::default() },
             ..LittleCoreConfig::optimized()
         };
-        // The record budget follows the swept LSL capacity (the
-        // builder's little_config coupling).
-        let r = Sim::builder(&wl, insts)
-            .little_config(little)
-            .build()
-            .expect("valid sweep point")
-            .run()
-            .report;
+        // The record budget follows the swept LSL capacity.
+        let cfg =
+            MeekConfig { little, seg_record_budget: capacity as u64, ..MeekConfig::default() };
+        let r =
+            Sim::builder(&wl, insts).config(cfg).build().expect("valid sweep point").run().report;
         let seg_len = r.committed / r.rcps.max(1);
         println!("{capacity:>8} {:>10.3} {:>8} {:>10}", r.slowdown_vs(vanilla), r.rcps, seg_len);
         rows.push(format!("lsl,{capacity},{:.4},{},{seg_len}", r.slowdown_vs(vanilla), r.rcps));
@@ -45,7 +42,7 @@ fn main() {
     println!("{:>8} {:>10} {:>8}", "timeout", "slowdown", "RCPs");
     for timeout in [500u64, 1_000, 2_500, 5_000, 10_000] {
         let r = Sim::builder(&wl, insts)
-            .segment_timeout(timeout)
+            .config(MeekConfig { seg_timeout: timeout, ..MeekConfig::default() })
             .build()
             .expect("valid sweep point")
             .run()

@@ -7,12 +7,12 @@
 //! SoC, and adds everything that lives *between* those components in the
 //! paper:
 //!
-//! * the **DEU** ([`deu`]) — the commit-stage Data Extraction Unit,
+//! * the **DEU** (`deu`) — the commit-stage Data Extraction Unit,
 //!   including the commit-order shadow register state it reads in place
 //!   of the PRFs, run-time/status packet generation, RCP triggering
 //!   (LSL-full / 5000-instruction timeout / kernel trap), and the LSQ
 //!   parity double-check of footnote 2;
-//! * **segmentation** ([`segments`]) — checker-thread scheduling of
+//! * **segmentation** (`segments`) — checker-thread scheduling of
 //!   segments onto little cores (the OS's `b.hook`/`l.mode` management);
 //! * the **OS model** ([`os`]) — Algorithms 1 and 2 (context switches and
 //!   the checker-thread programming model) and the Fig. 5 page-fault
@@ -58,22 +58,20 @@
 //! Faults, recovery policies and fabric choices compose on the same
 //! builder — see [`sim`] for the full scenario-matrix surface.
 
-pub mod deu;
+mod deu;
 pub mod fault;
 pub mod os;
 pub mod report;
-pub mod segments;
+mod segments;
 pub mod sim;
 pub mod system;
 
-pub use deu::{DeuHook, DeuState, BIG_CORE_NS_PER_CYCLE};
 pub use fault::{
     random_fault_specs, rcp_register_index, CorruptedField, DetectionRecord, FaultSite, FaultSpec,
     MaskRecord,
 };
 pub use meek_recover::{RecoveryPolicy, RecoveryReport};
 pub use report::{RunReport, StallBreakdown};
-pub use segments::SegmentManager;
 pub use sim::{
     validate_config, BuildError, JsonlEventSink, NoObserver, Observer, ObserverSet, RunOutcome,
     SampleRow, SamplingObserver, SegmentSpan, SharedBuf, Sim, SimBuilder, SimEvent, TickSample,

@@ -114,11 +114,6 @@ impl SegmentManager {
         voided_passes
     }
 
-    /// Number of currently open segments.
-    pub fn open_count(&self) -> usize {
-        self.assignments.len()
-    }
-
     /// Drains the `(segment, checker)` open log accumulated since the
     /// last call.
     pub fn take_opened(&mut self) -> Vec<(u32, usize)> {
@@ -144,7 +139,7 @@ mod tests {
         assert_eq!(mgr.try_open(3, &mut littles), Some(2));
         // All busy now.
         assert_eq!(mgr.try_open(4, &mut littles), None);
-        assert_eq!(mgr.open_count(), 3);
+        assert!((1..=3).all(|seg| mgr.checker_of(seg).is_some()), "three segments open");
     }
 
     #[test]
@@ -185,6 +180,6 @@ mod tests {
         assert!(mgr.is_concluded(1), "verdicts before the rollback stand");
         assert!(!mgr.is_concluded(2), "the failed segment re-opens");
         assert!(!mgr.is_concluded(3));
-        assert_eq!(mgr.open_count(), 0);
+        assert!((1..=3).all(|seg| mgr.checker_of(seg).is_none()), "no segment left open");
     }
 }

@@ -3,15 +3,16 @@
 //! (campaign engine, difftest oracles, benches, examples) builds its
 //! [`MeekSystem`]s through, and [`Sim::run`] is the one run loop:
 //!
-//! * every knob (workload, little-core count, fabric kind, DC-Buffer
-//!   depth via [`MeekConfig`], recovery policy, fault plan, instruction
-//!   budget) is set on one builder, and degenerate combinations are
-//!   rejected with a typed [`BuildError`] instead of a mid-run panic;
-//! * the simulation liveness bound is derived internally from the
-//!   instruction budget ([`cycle_cap`]) — widened automatically for
+//! * a run is a workload, an instruction budget, one [`MeekConfig`]
+//!   (the microarchitecture: big core, checker cluster, fabric, LSL
+//!   budget and timeout, DC-Buffer depth, recovery) and one fault list;
+//!   the builder's six setters cover exactly that, and degenerate
+//!   combinations are rejected with a typed [`BuildError`] instead of a
+//!   mid-run panic;
+//! * the simulation liveness bound is derived from the instruction
+//!   budget ([`cycle_cap`]) and widened automatically for
 //!   recovery-enabled runs, whose rollbacks legitimately re-execute
-//!   work — with [`SimBuilder::cycle_headroom`] for stress scenarios
-//!   beyond even that;
+//!   work — there is no knob for it;
 //! * [`Sim::run`] yields a structured [`RunOutcome`] — the familiar
 //!   [`RunReport`] plus the final architectural state and a
 //!   per-segment [`SegmentSpan`] timeline;
@@ -53,12 +54,10 @@
 //! assert_eq!(err, BuildError::NoLittleCores);
 //! ```
 
-use crate::fault::{DetectionRecord, FaultInjector, FaultSite, FaultSpec};
+use crate::fault::{DetectionRecord, FaultSite, FaultSpec};
 use crate::report::RunReport;
 use crate::system::{cycle_cap, FabricKind, MeekConfig, MeekSystem};
-use meek_bigcore::BigCoreConfig;
 use meek_isa::{ArchState, SparseMemory};
-use meek_littlecore::LittleCoreConfig;
 use meek_recover::RecoveryPolicy;
 use meek_workloads::Workload;
 use std::collections::{BTreeMap, VecDeque};
@@ -244,23 +243,6 @@ impl Observer for NoObserver {
 /// dispatch itself stays a single static call on the set.
 #[derive(Default)]
 pub struct ObserverSet(Vec<Box<dyn Observer>>);
-
-impl ObserverSet {
-    /// Wraps an attachment-ordered list of observers.
-    pub fn new(observers: Vec<Box<dyn Observer>>) -> ObserverSet {
-        ObserverSet(observers)
-    }
-
-    /// Number of attached observers.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether no observers are attached.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-}
 
 impl Observer for ObserverSet {
     fn event(&mut self, ev: &SimEvent) {
@@ -555,9 +537,6 @@ pub enum BuildError {
     /// Recovery was enabled with `rollback_depth == 0`: a rollback
     /// with no checkpoint to reach is unexecutable.
     RecoveryWithoutCheckpoints,
-    /// Both [`SimBuilder::faults`] and [`SimBuilder::injector`] were
-    /// set — one fault source per run.
-    ConflictingFaultSources,
     /// A fault arms at or past the instruction budget: it could never
     /// fire, and would be misreported as pending.
     FaultBeyondBudget {
@@ -608,9 +587,6 @@ impl fmt::Display for BuildError {
             BuildError::RecoveryWithoutCheckpoints => {
                 write!(f, "recovery enabled with rollback_depth 0: no checkpoint to roll back to")
             }
-            BuildError::ConflictingFaultSources => {
-                write!(f, "both a fault list and a pre-built injector were configured")
-            }
             BuildError::FaultBeyondBudget { arm_at_commit, budget } => write!(
                 f,
                 "fault arms at commit {arm_at_commit}, at or past the {budget}-instruction budget"
@@ -659,15 +635,13 @@ pub fn validate_config(cfg: &MeekConfig) -> Result<(), BuildError> {
 
 /// Builder for a [`Sim`]: one validated, composable construction path
 /// for every MEEK scenario — fabric × recovery × fault matrices
-/// included.
+/// included. The microarchitecture is one [`MeekConfig`];
+/// `little_cores`, `fabric` and `recovery` set its most-swept fields.
 pub struct SimBuilder<'a> {
     workload: &'a Workload,
     insts: u64,
     cfg: MeekConfig,
-    record_budget_set: bool,
-    faults: Option<Vec<FaultSpec>>,
-    injector: Option<FaultInjector>,
-    headroom: u64,
+    faults: Vec<FaultSpec>,
     observers: Vec<Box<dyn Observer>>,
 }
 
@@ -680,20 +654,16 @@ impl<'a> SimBuilder<'a> {
             workload,
             insts,
             cfg: MeekConfig::default(),
-            record_budget_set: false,
-            faults: None,
-            injector: None,
-            headroom: 1,
+            faults: Vec::new(),
             observers: Vec::new(),
         }
     }
 
-    /// Replaces the whole system configuration (the campaign engine's
-    /// path: its spec carries a prebuilt [`MeekConfig`]). Individual
-    /// setters called afterwards still apply on top.
+    /// Replaces the whole system configuration: big and little core
+    /// microarchitecture, LSL record budget, segment timeout, DC-Buffer
+    /// depth. Setters called afterwards still apply on top.
     pub fn config(mut self, cfg: MeekConfig) -> Self {
         self.cfg = cfg;
-        self.record_budget_set = true; // the config's budget is explicit
         self
     }
 
@@ -703,38 +673,9 @@ impl<'a> SimBuilder<'a> {
         self
     }
 
-    /// Little-core microarchitecture. Unless overridden, the segment
-    /// record budget follows the configured LSL run-time capacity.
-    pub fn little_config(mut self, little: LittleCoreConfig) -> Self {
-        if !self.record_budget_set {
-            self.cfg.seg_record_budget = little.lsl.runtime_capacity as u64;
-        }
-        self.cfg.little = little;
-        self
-    }
-
-    /// Big-core microarchitecture.
-    pub fn big_config(mut self, big: BigCoreConfig) -> Self {
-        self.cfg.big = big;
-        self
-    }
-
     /// Interconnect choice (the Fig. 9 ablation axis).
     pub fn fabric(mut self, kind: FabricKind) -> Self {
         self.cfg.fabric = kind;
-        self
-    }
-
-    /// Run-time records per segment before an RCP is forced.
-    pub fn segment_record_budget(mut self, budget: u64) -> Self {
-        self.cfg.seg_record_budget = budget;
-        self.record_budget_set = true;
-        self
-    }
-
-    /// Instruction timeout per segment (Table II: 5 000).
-    pub fn segment_timeout(mut self, timeout: u64) -> Self {
-        self.cfg.seg_timeout = timeout;
         self
     }
 
@@ -744,27 +685,10 @@ impl<'a> SimBuilder<'a> {
         self
     }
 
-    /// Fault-injection plan. Conflicts with [`SimBuilder::injector`].
+    /// Fault-injection plan, in any order (empty = no faults). Random
+    /// campaigns come from [`crate::fault::random_fault_specs`].
     pub fn faults(mut self, faults: Vec<FaultSpec>) -> Self {
-        self.faults = Some(faults);
-        self
-    }
-
-    /// A pre-built injector (e.g. [`FaultInjector::random_campaign`]).
-    /// Conflicts with [`SimBuilder::faults`].
-    pub fn injector(mut self, injector: FaultInjector) -> Self {
-        self.injector = Some(injector);
-        self
-    }
-
-    /// Multiplies the internally derived liveness bound beyond its
-    /// default (recovery-enabled runs already get a retry-budget-aware
-    /// multiplier — see [`SimBuilder::build`]). Use for runs that
-    /// legitimately exceed even that — e.g. stress tests stacking many
-    /// failure episodes. The larger of the explicit and derived
-    /// multipliers wins.
-    pub fn cycle_headroom(mut self, multiplier: u64) -> Self {
-        self.headroom = multiplier.max(1);
+        self.faults = faults;
         self
     }
 
@@ -777,12 +701,10 @@ impl<'a> SimBuilder<'a> {
 
     /// Validates the configuration and assembles the system.
     ///
-    /// The liveness bound is derived from the instruction budget
-    /// ([`cycle_cap`]); recovery-enabled runs automatically widen it by
-    /// a retry-budget-aware multiplier (rollback re-execution can
-    /// legitimately repeat committed work once per retry, plus the
-    /// golden escalation pass), so ordinary recovery scenarios need no
-    /// manual [`SimBuilder::cycle_headroom`].
+    /// The liveness bound is derived from the instruction budget:
+    /// [`cycle_cap`] for detect-only runs, and `2 + max_retries` times
+    /// that for recovery-enabled runs, whose rollbacks may re-execute
+    /// committed work once per retry plus one golden escalation pass.
     ///
     /// # Errors
     ///
@@ -793,7 +715,7 @@ impl<'a> SimBuilder<'a> {
         Ok(Sim {
             sys,
             max_cycles,
-            observer: ObserverSet::new(observers),
+            observer: ObserverSet(observers),
             halt_on_first_detection: false,
         })
     }
@@ -850,15 +772,7 @@ impl<'a> SimBuilder<'a> {
                 });
             }
         }
-        if self.faults.is_some() && self.injector.is_some() {
-            return Err(BuildError::ConflictingFaultSources);
-        }
-        let latest_arm = match (&self.faults, &self.injector) {
-            (Some(faults), _) => faults.iter().map(|f| f.arm_at_commit).max(),
-            (None, Some(inj)) => inj.latest_arm(),
-            (None, None) => None,
-        };
-        if let Some(arm) = latest_arm {
+        if let Some(arm) = self.faults.iter().map(|f| f.arm_at_commit).max() {
             if arm >= self.insts {
                 return Err(BuildError::FaultBeyondBudget {
                     arm_at_commit: arm,
@@ -866,18 +780,12 @@ impl<'a> SimBuilder<'a> {
                 });
             }
         }
+        let recovery = &self.cfg.recovery;
+        let passes = if recovery.enabled { 2 + recovery.max_retries as u64 } else { 1 };
+        let max_cycles = cycle_cap(self.insts).saturating_mul(passes);
         let mut sys = MeekSystem::new(self.cfg, self.workload, self.insts);
-        if let Some(faults) = self.faults {
-            sys.set_faults(faults);
-        } else if let Some(injector) = self.injector {
-            sys.set_injector(injector);
-        }
+        sys.set_faults(self.faults);
         sys.enable_event_capture();
-        // Each failure episode may re-execute committed work once per
-        // retry, and golden escalation adds one more pass.
-        let recovery = &sys.config().recovery;
-        let derived = if recovery.enabled { 2 + recovery.max_retries as u64 } else { 1 };
-        let max_cycles = cycle_cap(self.insts).saturating_mul(self.headroom.max(derived));
         Ok((sys, max_cycles, self.observers))
     }
 }
@@ -913,15 +821,11 @@ impl Sim<NoObserver> {
 }
 
 impl<O: Observer> Sim<O> {
-    /// The derived liveness bound (cycles) this run will panic at.
+    /// The liveness bound (cycles) this run panics at, derived by
+    /// [`SimBuilder::build`] from the instruction budget and the
+    /// recovery policy's retry budget.
     pub fn max_cycles(&self) -> u64 {
         self.max_cycles
-    }
-
-    /// The underlying system, for introspection before the run (most
-    /// callers only need [`Sim::run`]).
-    pub fn system(&self) -> &MeekSystem {
-        &self.sys
     }
 
     /// Stops [`Sim::run`] as soon as the first fault detection is
@@ -1063,11 +967,6 @@ impl RunOutcome {
     pub fn final_memory(&self) -> &SparseMemory {
         self.sys.final_memory()
     }
-
-    /// The drained system, for introspection the report does not cover.
-    pub fn system(&self) -> &MeekSystem {
-        &self.sys
-    }
 }
 
 #[cfg(test)]
@@ -1075,8 +974,6 @@ mod tests {
     use super::*;
     use meek_fabric::DcBufferConfig;
     use meek_workloads::parsec3;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     fn small_workload() -> Workload {
         Workload::build(&parsec3()[0], 11)
@@ -1135,25 +1032,12 @@ mod tests {
         let spec = FaultSpec { arm_at_commit: 1_000, site: FaultSite::MemAddr, bit: 1 };
         let err = Sim::builder(&wl, 1_000).faults(vec![spec]).build().unwrap_err();
         assert_eq!(err, BuildError::FaultBeyondBudget { arm_at_commit: 1_000, budget: 1_000 });
-        // The same guard applies to pre-built injectors.
-        let inj = FaultInjector::new(vec![spec]);
-        let err = Sim::builder(&wl, 1_000).injector(inj).build().unwrap_err();
-        assert!(matches!(err, BuildError::FaultBeyondBudget { .. }));
+        // The latest arm point is checked, whatever the list order.
+        let early = FaultSpec { arm_at_commit: 10, ..spec };
+        let err = Sim::builder(&wl, 1_000).faults(vec![spec, early]).build().unwrap_err();
+        assert!(matches!(err, BuildError::FaultBeyondBudget { arm_at_commit: 1_000, .. }));
         // One instruction of slack makes it valid.
         assert!(Sim::builder(&wl, 1_001).faults(vec![spec]).build().is_ok());
-    }
-
-    #[test]
-    fn conflicting_fault_sources_are_a_typed_error() {
-        let wl = small_workload();
-        let spec = FaultSpec { arm_at_commit: 10, site: FaultSite::MemData, bit: 1 };
-        let mut rng = SmallRng::seed_from_u64(1);
-        let err = Sim::builder(&wl, 1_000)
-            .faults(vec![spec])
-            .injector(FaultInjector::random_campaign(3, 500, &mut rng))
-            .build()
-            .unwrap_err();
-        assert_eq!(err, BuildError::ConflictingFaultSources);
     }
 
     /// A tiny hand-built loaded image: one `addi` at `entry`, used by the
@@ -1433,25 +1317,14 @@ mod tests {
     }
 
     #[test]
-    fn headroom_scales_the_cap() {
-        let wl = small_workload();
-        let sim = Sim::builder(&wl, 5_000).cycle_headroom(3).build().expect("valid");
-        assert_eq!(sim.max_cycles(), 3 * cycle_cap(5_000));
-        let outcome = sim.run();
-        assert_eq!(outcome.report.failed_segments, 0);
-        assert_eq!(outcome.report.committed, 5_000);
-    }
-
-    #[test]
     fn recovery_widens_the_derived_cap_automatically() {
         let wl = small_workload();
         let policy = RecoveryPolicy::enabled(); // max_retries 3
         let sim = Sim::builder(&wl, 5_000).recovery(policy).build().expect("valid");
         assert_eq!(sim.max_cycles(), (2 + 3) * cycle_cap(5_000));
-        // An explicit larger headroom still wins.
-        let sim =
-            Sim::builder(&wl, 5_000).recovery(policy).cycle_headroom(20).build().expect("valid");
-        assert_eq!(sim.max_cycles(), 20 * cycle_cap(5_000));
+        // Detect-only runs get the plain cap.
+        let sim = Sim::builder(&wl, 5_000).build().expect("valid");
+        assert_eq!(sim.max_cycles(), cycle_cap(5_000));
     }
 
     #[test]

@@ -227,42 +227,53 @@ pub fn run(prog: &FuzzProgram, cfg: &CosimConfig) -> CosimVerdict {
 /// plus the golden run for downstream fault oracles, `None` when the
 /// golden way itself trapped.
 pub fn run_workload(wl: &Workload, cfg: &CosimConfig) -> (CosimVerdict, Option<GoldenRun>) {
-    let mut verdict = CosimVerdict { executed: 0, segments: 0, system_cycles: 0, divergence: None };
     let golden_result = {
         let _span = prof::span("golden_run");
         golden_run_in(wl, GOLDEN_CAP)
     };
-    let golden = match golden_result {
-        Ok(g) => g,
+    match golden_result {
+        Ok(golden) => (run_against(wl, &golden, cfg), Some(golden)),
         Err(d) => {
-            verdict.divergence = Some(d);
-            return (verdict, None);
+            let verdict =
+                CosimVerdict { executed: 0, segments: 0, system_cycles: 0, divergence: Some(d) };
+            (verdict, None)
         }
+    }
+}
+
+/// Ways 2 and 3 of [`run_workload`] against a golden run the caller
+/// already has (e.g. from a bounded pre-screen that reached program
+/// exit, so it is the same trace [`GOLDEN_CAP`] would produce).
+pub fn run_against(wl: &Workload, golden: &GoldenRun, cfg: &CosimConfig) -> CosimVerdict {
+    let mut verdict = CosimVerdict {
+        executed: golden.trace.len() as u64,
+        segments: 0,
+        system_cycles: 0,
+        divergence: None,
     };
-    verdict.executed = golden.trace.len() as u64;
     if golden.trace.is_empty() {
-        return (verdict, Some(golden));
+        return verdict;
     }
     let replay = {
         let _span = prof::span("lockstep_replay");
-        replay_lockstep(wl, &golden, cfg)
+        replay_lockstep(wl, golden, cfg)
     };
     match replay {
         Ok(segments) => verdict.segments = segments,
         Err(d) => {
             verdict.divergence = Some(d);
-            return (verdict, Some(golden));
+            return verdict;
         }
     }
     let system = {
         let _span = prof::span("system_check");
-        system_check(wl, &golden, cfg)
+        system_check(wl, golden, cfg)
     };
     match system {
         Ok(cycles) => verdict.system_cycles = cycles,
         Err(d) => verdict.divergence = Some(d),
     }
-    (verdict, Some(golden))
+    verdict
 }
 
 /// Way 2: feeds the golden run's forwarded data to a real littlecore,

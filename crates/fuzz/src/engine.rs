@@ -327,8 +327,10 @@ fn evaluate(cand: &Candidate, s: &FuzzSettings) -> CaseEval {
     golden_features(&golden, &map);
 
     // Three-way co-simulation: any divergence on a valid program is a
-    // real finding.
-    let verdict = cosim::run_workload(&wl, &cfg).0;
+    // real finding. The pre-screen reached program exit below
+    // `EVAL_CAP` (< `GOLDEN_CAP`), so its golden run is the one the
+    // cosim would re-derive.
+    let verdict = cosim::run_against(&wl, &golden, &cfg);
     map.note(format!("segments:{}", bucket(verdict.segments as u64)));
     if let Some(d) = verdict.divergence {
         map.note(format!("divergence:{}", d.kind_name()));

@@ -777,24 +777,6 @@ impl LittleCore {
         Ok(Some(ret))
     }
 
-    /// Debug snapshot of the checker's internal phase.
-    pub fn debug_phase(&self) -> String {
-        let phase = match &self.phase {
-            Phase::WaitSrcp => "WaitSrcp".to_string(),
-            Phase::Apply { remaining } => format!("Apply({remaining})"),
-            Phase::Replay => "Replay".to_string(),
-            Phase::Compare { remaining, .. } => format!("Compare({remaining})"),
-        };
-        format!(
-            "{phase} carried={:?} ercp={:?} busy_until={} head_rt_seg={:?} head_st_seg={:?}",
-            self.carried_srcp.as_ref().map(|r| r.seg),
-            self.ercp.as_ref().map(|r| r.seg),
-            self.busy_until,
-            self.lsl.peek_runtime().map(|r| r.seg()),
-            self.lsl.peek_status().map(|r| r.seg),
-        )
-    }
-
     /// Resets core state for reuse by the scheduler (mode switch to
     /// application mode and back clears the LSL reservation).
     pub fn reset(&mut self) {

@@ -28,18 +28,6 @@ pub struct CacheStats {
     pub mshr_stall_cycles: u64,
 }
 
-impl CacheStats {
-    /// Miss rate in [0, 1]; zero if no accesses.
-    pub fn miss_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Line {
     tag: u64,

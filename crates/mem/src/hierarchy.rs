@@ -141,11 +141,6 @@ impl MemHierarchy {
         (self.l1i.stats(), self.l1d.stats(), self.l2.stats(), self.llc.stats())
     }
 
-    /// L1D statistics (hit/miss/MSHR stalls).
-    pub fn l1d_stats(&self) -> CacheStats {
-        self.l1d.stats()
-    }
-
     /// Total DRAM requests issued.
     pub fn dram_requests(&self) -> u64 {
         self.dram.requests

@@ -327,6 +327,9 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
+    use rand::Rng;
 
     #[test]
     fn u64_seeds_round_trip_exactly() {
@@ -369,6 +372,130 @@ mod tests {
             ["", "{", "{\"a\":}", "[1,]", "truth", "\"open", "{\"a\":1}x", "nan", "{\"a\" 1}"]
         {
             assert!(Json::parse(bad).is_err(), "`{bad}` should not parse");
+        }
+    }
+
+    /// Characters that stress the escaper and the parser: quotes,
+    /// backslashes, JSON punctuation, control characters and
+    /// multi-byte UTF-8 (2, 3 and 4 bytes).
+    const TRICKY: &[char] = &[
+        '"',
+        '\\',
+        '/',
+        '\n',
+        '\r',
+        '\t',
+        '\u{0}',
+        '\u{8}',
+        '\u{c}',
+        '\u{1f}',
+        '\u{7f}',
+        'é',
+        '€',
+        '\u{2028}',
+        '\u{10FFFF}',
+        '𝄞',
+        'a',
+        'u',
+        '0',
+        ' ',
+        '{',
+        '}',
+        '[',
+        ']',
+        ',',
+        ':',
+    ];
+
+    fn any_char(rng: &mut TestRng) -> char {
+        loop {
+            if let Some(c) = char::from_u32(rng.gen_range(0..0x11_0000u32)) {
+                return c;
+            }
+        }
+    }
+
+    fn arb_string(rng: &mut TestRng) -> String {
+        let len = rng.gen_range(0..12usize);
+        (0..len)
+            .map(|_| match rng.gen_range(0..3) {
+                0 => TRICKY[rng.gen_range(0..TRICKY.len())],
+                1 => char::from(rng.gen_range(0u8..0x20)),
+                _ => any_char(rng),
+            })
+            .collect()
+    }
+
+    fn arb_json(rng: &mut TestRng, depth: u32) -> Json {
+        match rng.gen_range(0..if depth == 0 { 5 } else { 7 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.gen()),
+            2 => Json::Num(rng.gen::<u64>().to_string()),
+            3 => Json::Num(rng.gen::<i64>().to_string()),
+            4 => Json::Str(arb_string(rng)),
+            5 => {
+                Json::Arr((0..rng.gen_range(0..4usize)).map(|_| arb_json(rng, depth - 1)).collect())
+            }
+            _ => Json::Obj(
+                (0..rng.gen_range(0..4usize))
+                    .map(|_| (arb_string(rng), arb_json(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Values of every variant, nested up to four levels.
+    struct ArbJson;
+
+    impl Strategy for ArbJson {
+        type Value = Json;
+        fn sample(&self, rng: &mut TestRng) -> Json {
+            arb_json(rng, 4)
+        }
+    }
+
+    /// Arbitrary text of at most 256 bytes, biased toward JSON so the
+    /// parser gets past its first byte: half the cases are a rendered
+    /// value with random characters spliced in and the tail cut at a
+    /// random point (unterminated strings, escapes and containers),
+    /// the rest a soup of JSON syntax, tricky and arbitrary characters.
+    struct ArbText;
+
+    impl Strategy for ArbText {
+        type Value = String;
+        fn sample(&self, rng: &mut TestRng) -> String {
+            const SYNTAX: &[u8] = b"{}[]\",:\\-+.eE0123456789truefalsn \t\n";
+            let mut chars: Vec<char> =
+                if rng.gen() { arb_json(rng, 3).render().chars().collect() } else { Vec::new() };
+            for _ in 0..rng.gen_range(0..8usize) {
+                let c = match rng.gen_range(0..4) {
+                    0 => any_char(rng),
+                    1 => TRICKY[rng.gen_range(0..TRICKY.len())],
+                    _ => char::from(SYNTAX[rng.gen_range(0..SYNTAX.len())]),
+                };
+                chars.insert(rng.gen_range(0..=chars.len()), c);
+            }
+            chars.truncate(rng.gen_range(0..=chars.len()));
+            let mut text = String::new();
+            for c in chars {
+                if text.len() + c.len_utf8() > 256 {
+                    break;
+                }
+                text.push(c);
+            }
+            text
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn render_then_parse_round_trips(v in ArbJson) {
+            prop_assert_eq!(Json::parse(&v.render()), Ok(v));
+        }
+
+        #[test]
+        fn parse_never_panics_on_arbitrary_text(text in ArbText) {
+            let _ = Json::parse(&text);
         }
     }
 }

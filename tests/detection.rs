@@ -1,8 +1,7 @@
 //! Detection soundness: injected faults in forwarded data must be caught
 //! by the checkers, within FTTI-compatible latency.
 
-use meek_core::fault::FaultInjector;
-use meek_core::{FaultSite, FaultSpec, Sim};
+use meek_core::{random_fault_specs, FaultSite, FaultSpec, Sim};
 use meek_workloads::{parsec3, Workload};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -12,7 +11,6 @@ fn run_one_fault(site: FaultSite, bit: u32, seed: u64) -> meek_core::RunReport {
     let wl = Workload::build(p, seed);
     Sim::builder(&wl, 12_000)
         .faults(vec![FaultSpec { arm_at_commit: 5_000, site, bit }])
-        .cycle_headroom(10)
         .build()
         .expect("valid")
         .run()
@@ -63,8 +61,7 @@ fn campaign_has_high_coverage_and_sane_latencies() {
     let wl = Workload::build(p, 0xCA4);
     let mut rng = SmallRng::seed_from_u64(0xCA4);
     let r = Sim::builder(&wl, insts)
-        .injector(FaultInjector::random_campaign(40, insts, &mut rng))
-        .cycle_headroom(6)
+        .faults(random_fault_specs(40, insts, &mut rng))
         .build()
         .expect("valid")
         .run()
@@ -89,7 +86,7 @@ fn campaign_has_high_coverage_and_sane_latencies() {
 fn clean_run_has_zero_detections() {
     let p = &parsec3()[5];
     let wl = Workload::build(p, 0xC1E);
-    let r = Sim::builder(&wl, 10_000).cycle_headroom(10).build().expect("valid").run().report;
+    let r = Sim::builder(&wl, 10_000).build().expect("valid").run().report;
     assert!(r.detections.is_empty());
     assert_eq!(r.failed_segments, 0, "no false positives");
 }

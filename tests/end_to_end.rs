@@ -1,19 +1,13 @@
 //! End-to-end integration: workload synthesis → big-core execution →
 //! DEU extraction → fabric → checker replay, across every profile.
 
-use meek_core::{run_vanilla, FabricKind, MeekConfig, RunReport, Sim, SimBuilder};
+use meek_core::{run_vanilla, FabricKind, MeekConfig, RunReport, Sim};
 use meek_workloads::{parsec3, spec_int_2006, Workload};
 
 const INSTS: u64 = 8_000;
 
-/// A default-configuration builder with the headroom the stress
-/// configurations below (1–2 cores, AXI) need.
-fn sim(wl: &Workload) -> SimBuilder<'_> {
-    Sim::builder(wl, INSTS).cycle_headroom(4)
-}
-
 fn run(wl: &Workload) -> RunReport {
-    sim(wl).build().expect("valid").run().report
+    Sim::builder(wl, INSTS).build().expect("valid").run().report
 }
 
 #[test]
@@ -41,7 +35,7 @@ fn every_spec_profile_verifies_cleanly() {
 fn axi_fabric_also_verifies_cleanly() {
     let p = &parsec3()[2]; // dedup
     let wl = Workload::build(p, 0xA31);
-    let r = sim(&wl).fabric(FabricKind::Axi).build().expect("valid").run().report;
+    let r = Sim::builder(&wl, INSTS).fabric(FabricKind::Axi).build().expect("valid").run().report;
     assert_eq!(r.failed_segments, 0);
     assert!(r.verified_segments > 0);
 }
@@ -82,7 +76,7 @@ fn slowdown_sane_across_core_counts() {
     let vanilla = run_vanilla(&MeekConfig::default().big, &wl, INSTS);
     let mut prev = f64::MAX;
     for n in [2usize, 4, 6] {
-        let r = sim(&wl).little_cores(n).build().expect("valid").run().report;
+        let r = Sim::builder(&wl, INSTS).little_cores(n).build().expect("valid").run().report;
         let s = r.app_cycles as f64 / vanilla as f64;
         assert!(s >= 0.999, "MEEK cannot be faster than vanilla ({s})");
         assert!(s < prev * 1.05, "more cores must not hurt ({prev:.3} -> {s:.3} at {n})");
